@@ -181,15 +181,18 @@ def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
     lows: dict[tuple[Shape, str], float] = {}
     highs: dict[tuple[Shape, str], float] = {}
     for row in reader:
+        where = f"centroid file line {reader.line_num}"
         if len(row) != len(_CENTROID_HEADER):
-            raise ArgumentError(f"bad centroid row: {row}")
+            raise ArgumentError(f"{where}: bad centroid row: {row}")
         kind, shape_name, diameter = row[0], row[1], row[2]
-        shape = Shape(shape_name)
-        values = [float(v) for v in row[3:]]
+        try:
+            shape = Shape(shape_name)
+            values = [float(v) for v in row[3:]]
+            diameter_cm = float(diameter) if kind == "centroid" else None
+        except ValueError as exc:
+            raise ArgumentError(f"{where}: {exc}") from None
         if kind == "centroid":
-            centroids.append(
-                Centroid(shape=shape, diameter_cm=float(diameter), vector=tuple(values))
-            )
+            centroids.append(Centroid(shape=shape, diameter_cm=diameter_cm, vector=tuple(values)))
         elif kind == "raw_min":
             lows.update({(shape, finger): v for finger, v in zip(FINGERS, values)})
         elif kind == "raw_max":

@@ -199,8 +199,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     session = read_session_file(args.session)
-    with open(args.centroids, "r", encoding="ascii") as fh:
-        centroids, context = centroids_from_csv(fh.read())
+    try:
+        with open(args.centroids, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"centroid file is not ASCII: {exc}") from None
+    centroids, context = centroids_from_csv(text)
     shape, diameter, distance = classify_session(
         session, centroids, context, expected_frames=args.expected_frames
     )

@@ -167,11 +167,12 @@ def clean_adc_at_diameter(d: float, cfg: SensorConfig) -> int:
 
 _CURVE_KEYS = ("r_flat", "r_min_diam", "d_knee", "d_tightest")
 _CONFIG_KEYS = ("r_fixed", "vcc", "adc_levels", "noise_amplitude")
+_INTEGER_KEYS = ("adc_levels", "noise_amplitude")
 
 
 def parse_config(text: str) -> SensorConfig:
     """Build a SensorConfig from key-value text; unknown keys are an error."""
-    raw: dict[str, float] = {}
+    raw: dict[str, float | int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -183,15 +184,18 @@ def parse_config(text: str) -> SensorConfig:
         if key not in _CURVE_KEYS + _CONFIG_KEYS:
             raise ArgumentError(f"config line {lineno}: unknown key {key!r}")
         try:
-            raw[key] = float(value)
+            number = float(value)
         except ValueError:
             raise ArgumentError(f"config line {lineno}: {value!r} is not a number") from None
+        if not math.isfinite(number):
+            raise ArgumentError(f"config line {lineno}: {key} must be finite, got {value!r}")
+        if key in _INTEGER_KEYS:
+            if not number.is_integer():
+                raise ArgumentError(f"config line {lineno}: {key} must be an integer, got {value!r}")
+            number = int(number)
+        raw[key] = number
     curve_kwargs = {k: raw.pop(k) for k in _CURVE_KEYS if k in raw}
-    cfg_kwargs: dict[str, object] = dict(raw)
-    for key in ("adc_levels", "noise_amplitude"):
-        if key in cfg_kwargs:
-            cfg_kwargs[key] = int(cfg_kwargs[key])
-    return SensorConfig(curve=CalibrationCurve(**curve_kwargs), **cfg_kwargs)
+    return SensorConfig(curve=CalibrationCurve(**curve_kwargs), **raw)
 
 
 def format_config(cfg: SensorConfig) -> str:

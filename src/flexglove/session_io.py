@@ -20,12 +20,15 @@ valid file); the analysis layer enforces the expected count instead.
 """
 from __future__ import annotations
 
+import math
+import re
 from typing import BinaryIO
 
 from .errors import (
     MalformedFrame,
     MalformedHeader,
     OrderViolation,
+    ParseError,
     RangeViolation,
     SchemaError,
 )
@@ -41,6 +44,11 @@ def _is_decimal(fieldtext: str) -> bool:
     return bool(fieldtext) and all(c in "0123456789" for c in fieldtext)
 
 
+# The whole wire grammar in one pattern; re.ASCII keeps \d to 0-9.  Trailing
+# newlines are tolerated, as rstrip("\n") in _frame_error tolerates them.
+_FRAME_LINE = re.compile(r"(\d+),(\d+),(\d+),(\d+),(\d+),(\d+)\n*", re.ASCII)
+
+
 def parse_frame(line: str, line_no: int | None = None) -> Frame:
     """Parse one wire-format record into a Frame.
 
@@ -48,21 +56,30 @@ def parse_frame(line: str, line_no: int | None = None) -> Frame:
     fields, RangeViolation when a field parses but exceeds the 10-bit ceiling
     (which points at a wiring or converter fault rather than a typo).
     """
+    match = _FRAME_LINE.fullmatch(line)
+    if match is not None:
+        t_ms, thumb, index, middle, ring, pinky = map(int, match.groups())
+        if max(thumb, index, middle, ring, pinky) <= ADC_MAX:
+            return Frame(t_ms, (thumb, index, middle, ring, pinky))
+    raise _frame_error(line, line_no)
+
+
+def _frame_error(line: str, line_no: int | None) -> ParseError:
+    """The error for a line that parse_frame rejected, naming the first fault
+    in field order."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != 6:
-        raise MalformedFrame(f"expected 6 fields, got {len(fields)}", line=line_no)
-    if not all(_is_decimal(f) for f in fields):
-        bad = next(f for f in fields if not _is_decimal(f))
-        raise MalformedFrame(f"field {bad!r} is not a non-negative decimal integer", line=line_no)
-    values = [int(f) for f in fields]
-    for finger_value in values[1:]:
-        if finger_value > ADC_MAX:
-            raise RangeViolation(f"ADC value {finger_value} exceeds {ADC_MAX}", line=line_no)
-    return Frame(t_ms=values[0], adc=(values[1], values[2], values[3], values[4], values[5]))
+        return MalformedFrame(f"expected 6 fields, got {len(fields)}", line=line_no)
+    bad = next((f for f in fields if not _is_decimal(f)), None)
+    if bad is not None:
+        return MalformedFrame(f"field {bad!r} is not a non-negative decimal integer", line=line_no)
+    over = next(v for v in map(int, fields[1:]) if v > ADC_MAX)
+    return RangeViolation(f"ADC value {over} exceeds {ADC_MAX}", line=line_no)
 
 
 def format_frame(frame: Frame) -> str:
-    return f"{frame.t_ms},{','.join(str(v) for v in frame.adc)}\n"
+    thumb, index, middle, ring, pinky = frame.adc
+    return f"{frame.t_ms},{thumb},{index},{middle},{ring},{pinky}\n"
 
 
 def _parse_header_line(line: str, key: str, line_no: int) -> str:
@@ -106,6 +123,8 @@ def read_session(source: BinaryIO | bytes) -> GraspSession:
         raise MalformedHeader(f"diameter {values['diameter_cm']!r} is not a number", line=4) from None
     if not diameter > 0:
         raise MalformedHeader(f"diameter must be positive, got {diameter}", line=4)
+    if not math.isfinite(diameter):
+        raise MalformedHeader(f"diameter must be finite, got {diameter}", line=4)
     if not _is_decimal(values["period_ms"]):
         raise MalformedHeader(f"period {values['period_ms']!r} is not an integer", line=5)
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import ArgumentError, BendRangeError, DomainError
-from .sensor import SensorConfig, clean_adc_at_diameter, sample_with_noise
+# sample_with_noise is not called here but stays importable from this module:
+# bench/layers.py traces it under this name.
+from .sensor import SensorConfig, clean_adc_at_diameter, sample_with_noise  # noqa: F401
 from .types import FINGERS, Frame, GraspObject, GraspSession, Shape
 
 DEFAULT_FRAME_COUNT = 100
@@ -142,15 +144,24 @@ def simulate_session(
     """Simulate one static grasp recording, deterministic per seed."""
     if n_frames < 0 or period_ms <= 0:
         raise ArgumentError("need n_frames >= 0 and period_ms > 0")
-    clean = [clean_finger_adc(obj, finger, profile, sensor) for finger in FINGERS]
-    rng = random.Random(seed)
-    frames = [
-        Frame(
-            t_ms=i * period_ms,
-            adc=tuple(sample_with_noise(c, rng, sensor) for c in clean),
+    clean = tuple(clean_finger_adc(obj, finger, profile, sensor) for finger in FINGERS)
+    top = sensor.adc_levels - 1
+    for count in clean:
+        if not 0 <= count <= top:
+            raise DomainError(f"count {count} outside 0..{top}")
+    amp = int(sensor.noise_amplitude)
+    if amp == 0:
+        adcs = [clean] * n_frames
+    else:
+        # randrange(2*amp + 1) - amp consumes the generator exactly as
+        # sample_with_noise's randint(-amp, amp) does, so drawing a whole
+        # session here, frame by frame in finger order, gives the same stream.
+        draw, span = random.Random(seed).randrange, 2 * amp + 1
+        noisy = iter(
+            [max(0, min(c + draw(span) - amp, top)) for _ in range(n_frames) for c in clean]
         )
-        for i in range(n_frames)
-    ]
+        adcs = zip(*[noisy] * len(FINGERS))
+    frames = [Frame(i * period_ms, adc) for i, adc in enumerate(adcs)]
     return GraspSession(
         user_id=profile.user_id, obj=obj, frames=frames, sample_period_ms=period_ms
     )

@@ -47,10 +47,24 @@ class CohortTable:
 
     values: dict[CellKey, tuple[float, ...]]
     raw_scale: dict[tuple[Shape, str], tuple[float, float]] = field(default_factory=dict)
+    _stats: dict[CellKey, FingerStats] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def stats(self, key: CellKey) -> FingerStats:
-        vals = self.values[key]
-        return FingerStats(mean=statistics.fmean(vals), sem=sem(vals), n=len(vals))
+        """Mean, SEM and n of one cell.
+
+        Each cell is summarized once, on first request, and the result is
+        reused: fits, discriminability, centroids and the cohort CSV all ask
+        for the same cells.  ``values`` must not change after the first call.
+        """
+        try:
+            return self._stats[key]
+        except KeyError:
+            vals = self.values[key]
+            summary = FingerStats(mean=statistics.fmean(vals), sem=sem(vals), n=len(vals))
+            self._stats[key] = summary
+            return summary
 
     def shapes(self) -> list[Shape]:
         return sorted({k[0] for k in self.values}, key=lambda s: s.value)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError
@@ -35,8 +36,10 @@ class GraspObject:
 
     def __post_init__(self):
         object.__setattr__(self, "diameter_cm", float(self.diameter_cm))
-        if not self.diameter_cm > 0:
-            raise ArgumentError(f"object diameter must be positive, got {self.diameter_cm}")
+        if not (self.diameter_cm > 0 and math.isfinite(self.diameter_cm)):
+            raise ArgumentError(
+                f"object diameter must be positive and finite, got {self.diameter_cm}"
+            )
 
     @property
     def in_cohort_range(self) -> bool:

@@ -57,6 +57,14 @@ class TestCharacterize:
         assert all(step >= 0 for step in steps.values())
         assert max(steps[d] for d in range(12, 22)) < min(steps[d] for d in range(5, 12))
 
+    def test_non_finite_config_is_argument_error(self, tmp_path, capsys):
+        config = tmp_path / "inf.cfg"
+        config.write_text("vcc = inf\n")
+        assert run("characterize", "--out", tmp_path / "c", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "ArgumentError: config line 1: vcc must be finite" in err
+        assert "Traceback" not in err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("characterize", "--out", a, "--seed", "3") == 0
@@ -80,6 +88,10 @@ class TestSimulate:
 
     def test_zero_users_is_argument_error(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x", "--users-sphere", "0") == 2
+
+    def test_non_finite_diameter_is_argument_error(self, tmp_path):
+        # A file with `# diameter_cm=inf` would be rejected by its own reader.
+        assert run("simulate", "--out", tmp_path / "x", "--diameters", "6,inf") == 2
 
     def test_rerun_is_byte_identical(self, tmp_path):
         outs = []
@@ -154,6 +166,13 @@ class TestAnalyze:
         assert "MalformedFrame" in capsys.readouterr().err
         bad.unlink()
 
+    def test_non_finite_diameter_is_parse_error(self, small_cohort_dir, tmp_path, capsys):
+        bad = small_cohort_dir / "inf.session"
+        bad.write_bytes(b"# schema=1\n# user=x\n# shape=sphere\n# diameter_cm=inf\n# period_ms=50\n")
+        assert run("analyze", small_cohort_dir, "--out", tmp_path / "a") == 3
+        assert "MalformedHeader: line 4: diameter must be finite" in capsys.readouterr().err
+        bad.unlink()
+
 
 class TestClassify:
     def test_verdict_line(self, small_cohort_dir, tmp_path, capsys):
@@ -171,6 +190,36 @@ class TestClassify:
         bad.write_bytes(b"garbage\n")
         assert run("classify", bad, analysis / "centroids.csv") == 3
         assert "MalformedHeader" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("centroid,sphere,6,", "centroid,sphear,6,", "'sphear' is not a valid Shape"),
+            ("centroid,sphere,6,", "centroid,sphere,six,", "could not convert string to float: 'six'"),
+            ("raw_min,cylinder,,", "raw_min,cylinder,,x", "could not convert string to float: 'x"),
+        ],
+    )
+    def test_bad_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys, old, new, message):
+        analysis = tmp_path / "analysis"
+        assert run("analyze", small_cohort_dir, "--out", analysis) == 0
+        text = (analysis / "centroids.csv").read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace(old, new))
+        line_no = text[: text.index(old)].count("\n") + 1
+        session = sorted(small_cohort_dir.glob("*.session"))[0]
+        capsys.readouterr()
+        assert run("classify", session, bad) == 2
+        err = capsys.readouterr().err
+        assert f"ArgumentError: centroid file line {line_no}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_non_ascii_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("kind,shape,diameter_cm,thumb,index,middle,ring,pinky\ncentroid,sph\u00e9re\n".encode())
+        session = sorted(small_cohort_dir.glob("*.session"))[0]
+        assert run("classify", session, bad) == 2
+        assert "ArgumentError: centroid file is not ASCII" in capsys.readouterr().err
 
 
 class TestExitCodes:

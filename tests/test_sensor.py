@@ -182,6 +182,28 @@ class TestConfigFile:
         with pytest.raises(ArgumentError):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vcc = inf\n", "config line 1: vcc must be finite, got 'inf'"),
+            ("# r\nr_fixed = nan\n", "config line 2: r_fixed must be finite, got 'nan'"),
+            ("d_knee = -Infinity\n", "config line 1: d_knee must be finite, got '-Infinity'"),
+            ("noise_amplitude = 2.5\n", "config line 1: noise_amplitude must be an integer, got '2.5'"),
+            ("adc_levels = 1024.5\n", "config line 1: adc_levels must be an integer, got '1024.5'"),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integral(self, text, message):
+        from flexglove import ArgumentError
+
+        with pytest.raises(ArgumentError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+
+    def test_integral_float_spelling_accepted(self):
+        cfg = parse_config("noise_amplitude = 2.0\nadc_levels = 1e3\n")
+        assert (cfg.noise_amplitude, cfg.adc_levels) == (2, 1000)
+        assert type(cfg.noise_amplitude) is int and type(cfg.adc_levels) is int
+
     def test_validation_still_applies(self):
         from flexglove import ArgumentError
 

@@ -75,6 +75,65 @@ class TestParseFrame:
         assert isinstance(result, Frame)
 
 
+class TestParseErrorParity:
+    """Exact error kinds and messages: the fast path must reject what the
+    field-by-field grammar rejects, and report it the same way."""
+
+    @pytest.mark.parametrize(
+        "line, kind, message",
+        [
+            ("", MalformedFrame, "expected 6 fields, got 1"),
+            ("50,100,200,300,400", MalformedFrame, "expected 6 fields, got 5"),
+            ("1,2,3,4,5,6,7", MalformedFrame, "expected 6 fields, got 7"),
+            ("-1,0,0,0,0,0", MalformedFrame, "field '-1' is not a non-negative decimal integer"),
+            ("1, 2,3,4,5,6", MalformedFrame, "field ' 2' is not a non-negative decimal integer"),
+            ("1.5,2,3,4,5,6", MalformedFrame, "field '1.5' is not a non-negative decimal integer"),
+            ("1,2,3,\u0663,5,6", MalformedFrame, "field '\u0663' is not a non-negative decimal integer"),
+            ("1,2,3,4,5,6\r", MalformedFrame, "field '6\\r' is not a non-negative decimal integer"),
+            ("0,1024,2000,0,0,0", RangeViolation, "ADC value 1024 exceeds 1023"),
+            ("0,0,0,0,0,1024", RangeViolation, "ADC value 1024 exceeds 1023"),
+        ],
+    )
+    def test_parse_frame_error(self, line, kind, message):
+        with pytest.raises(ParseError) as exc:
+            parse_frame(line)
+        assert type(exc.value) is kind
+        assert str(exc.value) == message
+        assert exc.value.line is None
+        with pytest.raises(kind) as exc:
+            parse_frame(line, line_no=12)
+        assert str(exc.value) == f"line 12: {message}"
+        assert exc.value.line == 12
+
+    @pytest.mark.parametrize(
+        "line, frame",
+        [
+            ("0099,0001023,0,0,0,0", Frame(99, (1023, 0, 0, 0, 0))),
+            ("1,2,3,4,5,6\n\n", Frame(1, (2, 3, 4, 5, 6))),
+        ],
+    )
+    def test_leading_zeros_and_trailing_newlines_accepted(self, line, frame):
+        assert parse_frame(line) == frame
+
+    @pytest.mark.parametrize(
+        "body, kind, message",
+        [
+            (b"0,1,2,3,4,5\n50,1,2,3,4,5\n100,1,2,3,4\n", MalformedFrame,
+             "line 8: expected 6 fields, got 5"),
+            (b"0,1,2,3,4,5\n50,1,2,3,4,1024\n", RangeViolation,
+             "line 7: ADC value 1024 exceeds 1023"),
+            (b"0,1,2,3,4,5\r\n", MalformedFrame,
+             "line 6: field '5\\r' is not a non-negative decimal integer"),
+        ],
+    )
+    def test_read_session_error(self, body, kind, message):
+        data = format_session(make_session(n_frames=0)) + body
+        with pytest.raises(ParseError) as exc:
+            read_session(data)
+        assert type(exc.value) is kind
+        assert str(exc.value) == message
+
+
 class TestReadSession:
     def test_roundtrip(self):
         session = make_session()
@@ -125,6 +184,13 @@ class TestReadSession:
         with pytest.raises(MalformedFrame) as exc:
             read_session(data)
         assert exc.value.line == 8
+
+    @pytest.mark.parametrize("text", [b"inf", b"-inf", b"nan", b"1e400", b"Infinity"])
+    def test_non_finite_diameter_rejected(self, text):
+        data = format_session(make_session()).replace(b"diameter_cm=8.0", b"diameter_cm=" + text)
+        with pytest.raises(MalformedHeader) as exc:
+            read_session(data)
+        assert exc.value.line == 4
 
     def test_non_ascii_rejected(self):
         with pytest.raises(MalformedHeader):

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from flexglove import (
     ArgumentError,
     BendRangeError,
+    Frame,
     GraspObject,
     HandProfile,
     SensorConfig,
@@ -10,6 +13,7 @@ from flexglove import (
     finger_bend_diameter,
     format_session,
     make_hand_profile,
+    sample_with_noise,
     simulate_cohort,
     simulate_session,
 )
@@ -104,6 +108,35 @@ class TestSession:
         assert format_session(simulate_session(*args, seed=42)) != format_session(
             simulate_session(*args, seed=43)
         )
+
+
+def per_draw_frames(obj, profile, sensor, seed, n_frames, period_ms=50):
+    """Reference noise stream: one sample_with_noise call per finger per frame."""
+    clean = [clean_finger_adc(obj, f, profile, sensor) for f in FINGERS]
+    rng = random.Random(seed)
+    return [
+        Frame(t_ms=i * period_ms, adc=tuple(sample_with_noise(c, rng, sensor) for c in clean))
+        for i in range(n_frames)
+    ]
+
+
+class TestNoiseStream:
+    # r_fixed far below / far above the sensor's resistance pins every clean
+    # count to the converter's top / bottom, so the clamp is exercised.
+    @pytest.mark.parametrize("amplitude", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "r_fixed, adc_levels, clean_count",
+        [(47_000.0, 1024, None), (1e-3, 1024, 1023), (1e12, 1024, 0), (1e-3, 256, 255)],
+    )
+    @pytest.mark.parametrize("n_frames", [0, 4])
+    def test_session_equals_per_draw_replay(self, amplitude, r_fixed, adc_levels, clean_count, n_frames):
+        sensor = SensorConfig(r_fixed=r_fixed, adc_levels=adc_levels, noise_amplitude=amplitude)
+        obj, profile = GraspObject(Shape.CYLINDER, 7.0), default_hand_profile()
+        if clean_count is not None:
+            assert {clean_finger_adc(obj, f, profile, sensor) for f in FINGERS} == {clean_count}
+        for seed in (0, 2020, 987654321):
+            session = simulate_session(obj, profile, sensor, seed, n_frames=n_frames)
+            assert session.frames == per_draw_frames(obj, profile, sensor, seed, n_frames)
 
 
 class TestCohort:
