@@ -72,6 +72,7 @@ from .stats import (
     min_max_normalize,
     sem,
     session_mean,
+    session_means,
 )
 from .types import (
     FINGERS,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, PreconditionViolation
-from .stats import CohortTable, intervals_overlap, session_mean
+from .stats import CohortTable, intervals_overlap, session_means
 from .types import FINGERS, GraspSession, Shape
 
 # A new session has no diameter sweep of its own, so min-max normalization is
@@ -127,7 +127,7 @@ def classify_session(
     """
     if not centroids:
         raise PreconditionViolation("no centroids to classify against")
-    raw_means = {finger: session_mean(session, finger, expected_frames) for finger in FINGERS}
+    raw_means = dict(zip(FINGERS, session_means(session, expected_frames)))
 
     by_shape: dict[Shape, tuple[float, ...]] = {}
     best: tuple[float, float, int, Centroid] | None = None

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError, BendRangeError, DomainError
+from .types import ADC_MAX
 
 # Shape constants of the calibration-curve family (fractions of the total
 # resistance swing and zone widths in cm).  The curve has three zones:
@@ -75,8 +76,12 @@ class SensorConfig:
             raise ArgumentError(f"r_fixed must be positive, got {self.r_fixed}")
         if not self.vcc > 0:
             raise ArgumentError(f"vcc must be positive, got {self.vcc}")
-        if int(self.adc_levels) != self.adc_levels or self.adc_levels < 2:
-            raise ArgumentError(f"adc_levels must be an integer >= 2, got {self.adc_levels}")
+        # Session files carry 10-bit counts, so a wider converter would write
+        # files that read_session rejects.
+        if int(self.adc_levels) != self.adc_levels or not 2 <= self.adc_levels <= ADC_MAX + 1:
+            raise ArgumentError(
+                f"adc_levels must be an integer in 2..{ADC_MAX + 1}, got {self.adc_levels}"
+            )
         if int(self.noise_amplitude) != self.noise_amplitude or self.noise_amplitude < 0:
             raise ArgumentError(
                 f"noise_amplitude must be a non-negative integer, got {self.noise_amplitude}"
@@ -210,5 +215,9 @@ def format_config(cfg: SensorConfig) -> str:
 
 
 def load_config(path) -> SensorConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"config file is not ASCII: {exc}") from None
+    return parse_config(text)

@@ -17,11 +17,22 @@ Session file: five header lines followed by frame lines, `\n` terminators:
 
 I/O is deliberately permissive about frame counts (a 37-frame capture is a
 valid file); the analysis layer enforces the expected count instead.
+
+read_session takes the frame block (everything after the header) in one
+pass: one grammar match over the whole block, one split into fields, a
+column per field, timestamps through int() and counts through a table of
+the 1,024 canonical spellings, which is also the range check.  Whatever that
+pass rejects -- a fault, a leading zero, a carriage return, a blank line, a
+field too long to convert -- goes to the per-line loop over parse_frame,
+which alone decides it: it returns the same frames or raises the error,
+with its line number, that names the first fault.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
+import sys
 from typing import BinaryIO
 
 from .errors import (
@@ -48,6 +59,13 @@ def _is_decimal(fieldtext: str) -> bool:
 # newlines are tolerated, as rstrip("\n") in _frame_error tolerates them.
 _FRAME_LINE = re.compile(r"(\d+),(\d+),(\d+),(\d+),(\d+),(\d+)\n*", re.ASCII)
 
+# A frame block in which every line is six decimal fields and ends in \n.
+_FRAME_BLOCK = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
+
+# Each in-range count by its canonical spelling; a miss is a count over
+# ADC_MAX or one written with a leading zero.
+_COUNT_BY_TEXT = {str(n): n for n in range(ADC_MAX + 1)}
+
 
 def parse_frame(line: str, line_no: int | None = None) -> Frame:
     """Parse one wire-format record into a Frame.
@@ -58,9 +76,13 @@ def parse_frame(line: str, line_no: int | None = None) -> Frame:
     """
     match = _FRAME_LINE.fullmatch(line)
     if match is not None:
-        t_ms, thumb, index, middle, ring, pinky = map(int, match.groups())
-        if max(thumb, index, middle, ring, pinky) <= ADC_MAX:
-            return Frame(t_ms, (thumb, index, middle, ring, pinky))
+        try:
+            t_ms, thumb, index, middle, ring, pinky = map(int, match.groups())
+        except ValueError:  # a field beyond int()'s digit limit
+            pass
+        else:
+            if max(thumb, index, middle, ring, pinky) <= ADC_MAX:
+                return Frame(t_ms, (thumb, index, middle, ring, pinky))
     raise _frame_error(line, line_no)
 
 
@@ -73,7 +95,17 @@ def _frame_error(line: str, line_no: int | None) -> ParseError:
     bad = next((f for f in fields if not _is_decimal(f)), None)
     if bad is not None:
         return MalformedFrame(f"field {bad!r} is not a non-negative decimal integer", line=line_no)
-    over = next(v for v in map(int, fields[1:]) if v > ADC_MAX)
+    values = []
+    for fieldtext in fields:
+        try:
+            values.append(int(fieldtext))
+        except ValueError:
+            return MalformedFrame(
+                f"field of {len(fieldtext)} digits exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit conversion limit",
+                line=line_no,
+            )
+    over = next(v for v in values[1:] if v > ADC_MAX)
     return RangeViolation(f"ADC value {over} exceeds {ADC_MAX}", line=line_no)
 
 
@@ -99,11 +131,12 @@ def read_session(source: BinaryIO | bytes) -> GraspSession:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"session stream is not ASCII: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < len(_HEADER_KEYS):
+    n_header = len(_HEADER_KEYS)
+    lines = text.split("\n", n_header)
+    # Too short: fewer than five lines, or four followed by a final newline.
+    if len(lines) < n_header or lines[n_header - 1:] == [""]:
         raise MalformedHeader("stream too short to hold a session header")
+    block = lines[n_header] if len(lines) > n_header else ""
 
     values = {
         key: _parse_header_line(lines[i], key, i + 1)
@@ -128,9 +161,43 @@ def read_session(source: BinaryIO | bytes) -> GraspSession:
     if not _is_decimal(values["period_ms"]):
         raise MalformedHeader(f"period {values['period_ms']!r} is not an integer", line=5)
 
+    return GraspSession(
+        user_id=values["user"],
+        obj=GraspObject(shape, diameter),
+        frames=_read_frames(block),
+        sample_period_ms=int(values["period_ms"]),
+        schema_version=int(values["schema"]),
+    )
+
+
+def _read_frames(block: str) -> list[Frame]:
+    """The frames of a frame block, in one pass when the block is canonical."""
+    if block and not block.endswith("\n"):
+        block += "\n"
+    if _FRAME_BLOCK.fullmatch(block) is not None:
+        fields = block.replace("\n", ",").split(",")
+        fields.pop()  # the empty field after the final newline
+        try:
+            stamps = list(map(int, fields[0::6]))
+            counts = [list(map(_COUNT_BY_TEXT.__getitem__, fields[k::6])) for k in range(1, 6)]
+        except (KeyError, ValueError):
+            pass
+        else:
+            if all(map(operator.lt, stamps, stamps[1:])):
+                return list(map(Frame, stamps, zip(*counts)))
+    return _read_frames_by_line(block)
+
+
+def _read_frames_by_line(block: str) -> list[Frame]:
+    """Parse a frame block line by line, raising the error of its first
+    faulty line: a frame that parse_frame rejects or a timestamp that does
+    not increase."""
+    lines = block.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     frames: list[Frame] = []
     last_t = -1
-    for i, line in enumerate(lines[len(_HEADER_KEYS):], start=len(_HEADER_KEYS) + 1):
+    for i, line in enumerate(lines, start=len(_HEADER_KEYS) + 1):
         frame = parse_frame(line, line_no=i)
         if frame.t_ms <= last_t:
             raise OrderViolation(
@@ -138,14 +205,7 @@ def read_session(source: BinaryIO | bytes) -> GraspSession:
             )
         last_t = frame.t_ms
         frames.append(frame)
-
-    return GraspSession(
-        user_id=values["user"],
-        obj=GraspObject(shape, diameter),
-        frames=frames,
-        sample_period_ms=int(values["period_ms"]),
-        schema_version=int(values["schema"]),
-    )
+    return frames
 
 
 def _validate_user_id(user_id: str) -> str:

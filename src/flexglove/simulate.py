@@ -244,5 +244,9 @@ def format_profile_table(table: dict[tuple[str, Shape], FingerProfile]) -> str:
 
 
 def load_profile_table(path) -> dict[tuple[str, Shape], FingerProfile]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_profile_table(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"profile table is not ASCII: {exc}") from None
+    return parse_profile_table(text)

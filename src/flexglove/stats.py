@@ -76,16 +76,24 @@ class CohortTable:
         return sorted(self.values, key=lambda k: (k[0].value, k[1], FINGERS.index(k[2])))
 
 
-def session_mean(session: GraspSession, finger: str, expected_frames: int = 100) -> float:
-    """Mean raw count of one finger over a session of the expected length."""
-    if finger not in FINGERS:
-        raise ArgumentError(f"unknown finger {finger!r}")
+def session_means(session: GraspSession, expected_frames: int = 100) -> tuple[float, ...]:
+    """Mean raw count of each finger, in FINGERS order, over a session of the
+    expected length."""
+    if expected_frames < 1:
+        raise ArgumentError(f"expected frame count must be at least 1, got {expected_frames}")
     if len(session.frames) != expected_frames:
         raise PreconditionViolation(
             f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
             f"has {len(session.frames)} frames, expected {expected_frames}"
         )
-    return statistics.fmean(session.finger_values(finger))
+    return tuple(map(statistics.fmean, zip(*(f.adc for f in session.frames))))
+
+
+def session_mean(session: GraspSession, finger: str, expected_frames: int = 100) -> float:
+    """Mean raw count of one finger over a session of the expected length."""
+    if finger not in FINGERS:
+        raise ArgumentError(f"unknown finger {finger!r}")
+    return session_means(session, expected_frames)[FINGERS.index(finger)]
 
 
 def min_max_normalize(values: Mapping[float, float]) -> dict[float, float]:
@@ -158,14 +166,13 @@ def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = 100) -
     raw: dict[tuple[str, Shape], dict[str, dict[float, float]]] = {}
     for session in sessions:
         group = raw.setdefault((session.user_id, session.obj.shape), {f: {} for f in FINGERS})
-        for finger in FINGERS:
-            per_diam = group[finger]
-            d = session.obj.diameter_cm
-            if d in per_diam:
-                raise ArgumentError(
-                    f"duplicate session for {session.user_id}/{session.obj.shape.value}/{d} cm"
-                )
-            per_diam[d] = session_mean(session, finger, expected_frames)
+        d = session.obj.diameter_cm
+        if d in group[FINGERS[0]]:
+            raise ArgumentError(
+                f"duplicate session for {session.user_id}/{session.obj.shape.value}/{d} cm"
+            )
+        for finger, mean in zip(FINGERS, session_means(session, expected_frames)):
+            group[finger][d] = mean
     if not raw:
         raise ArgumentError("no sessions to analyze")
 

@@ -85,10 +85,6 @@ class GraspSession:
             schema_version=self.schema_version,
         )
 
-    def finger_values(self, finger: str) -> list[int]:
-        i = FINGERS.index(finger)
-        return [f.adc[i] for f in self.frames]
-
 
 def default_sphere_diameters() -> list[float]:
     """The full 1 cm sweep; see README for the sphere-count caveat."""

@@ -1,9 +1,22 @@
-"""Brute-force reference implementations the statistics tests check against.
+"""Reference implementations the tests check against.
 
-These deliberately use nothing from the package and spell every formula out
-as plain summation so they stay independent of the code paths under test.
+The statistics oracles deliberately use nothing from the package and spell
+every formula out as plain summation so they stay independent of the code
+paths under test.  The session reader oracle is the line-at-a-time reader
+that read_session's block pass must agree with: it shares only parse_frame,
+whose errors the parser tests pin literally, and the package's types.
 """
 import math
+
+from flexglove import (
+    GraspObject,
+    GraspSession,
+    MalformedHeader,
+    OrderViolation,
+    SchemaError,
+    Shape,
+    parse_frame,
+)
 
 
 def sem_oracle(values):
@@ -28,3 +41,64 @@ def ols_oracle(points):
     ss_tot = sum((y - mean_y) ** 2 for _, y in points)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return slope, intercept, r2
+
+
+def read_session_by_line(data):
+    """Read a session from bytes one line at a time, as read_session did
+    before it took the frame block in one pass."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"session stream is not ASCII: {exc}") from None
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if len(lines) < 5:
+        raise MalformedHeader("stream too short to hold a session header")
+
+    values = {}
+    for i, key in enumerate(("schema", "user", "shape", "diameter_cm", "period_ms")):
+        prefix = f"# {key}="
+        if not lines[i].startswith(prefix):
+            raise MalformedHeader(f"expected {prefix!r}..., got {lines[i]!r}", line=i + 1)
+        values[key] = lines[i][len(prefix):]
+        if not values[key]:
+            raise MalformedHeader(f"empty value for {key!r}", line=i + 1)
+    digits = set("0123456789")
+    if not (values["schema"] and set(values["schema"]) <= digits):
+        raise MalformedHeader(f"schema {values['schema']!r} is not an integer", line=1)
+    if int(values["schema"]) != 1:
+        raise SchemaError(f"unsupported schema version {values['schema']}", line=1)
+    try:
+        shape = Shape(values["shape"])
+    except ValueError:
+        raise MalformedHeader(f"unknown shape {values['shape']!r}", line=3) from None
+    try:
+        diameter = float(values["diameter_cm"])
+    except ValueError:
+        raise MalformedHeader(f"diameter {values['diameter_cm']!r} is not a number", line=4) from None
+    if not diameter > 0:
+        raise MalformedHeader(f"diameter must be positive, got {diameter}", line=4)
+    if not math.isfinite(diameter):
+        raise MalformedHeader(f"diameter must be finite, got {diameter}", line=4)
+    if not (values["period_ms"] and set(values["period_ms"]) <= digits):
+        raise MalformedHeader(f"period {values['period_ms']!r} is not an integer", line=5)
+
+    frames = []
+    last_t = -1
+    for i, line in enumerate(lines[5:], start=6):
+        frame = parse_frame(line, line_no=i)
+        if frame.t_ms <= last_t:
+            raise OrderViolation(
+                f"timestamp {frame.t_ms} ms does not increase past {last_t} ms", line=i
+            )
+        last_t = frame.t_ms
+        frames.append(frame)
+
+    return GraspSession(
+        user_id=values["user"],
+        obj=GraspObject(shape, diameter),
+        frames=frames,
+        sample_period_ms=int(values["period_ms"]),
+        schema_version=int(values["schema"]),
+    )

@@ -65,6 +65,14 @@ class TestCharacterize:
         assert "ArgumentError: config line 1: vcc must be finite" in err
         assert "Traceback" not in err
 
+    def test_non_ascii_config_is_argument_error(self, tmp_path, capsys):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"vcc = 5\xe9\n")
+        assert run("characterize", "--out", tmp_path / "c", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "ArgumentError: config file is not ASCII" in err
+        assert "Traceback" not in err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("characterize", "--out", a, "--seed", "3") == 0
@@ -124,6 +132,22 @@ class TestSimulate:
         for p in sorted(out.glob("*.session")):
             assert p.read_bytes() == (reference / p.name).read_bytes()
 
+    def test_non_ascii_profile_table_is_argument_error(self, tmp_path, capsys):
+        table_path = tmp_path / "table.txt"
+        table_path.write_bytes(b"thumb sph\xe8re 1.0 0.5 0.1 0.1\n")
+        assert run("simulate", "--out", tmp_path / "s", "--profile-table", table_path) == 2
+        err = capsys.readouterr().err
+        assert "ArgumentError: profile table is not ASCII" in err
+        assert "Traceback" not in err
+
+    def test_config_wider_than_wire_format_is_argument_error(self, tmp_path, capsys):
+        config = tmp_path / "wide.cfg"
+        config.write_text("adc_levels = 4096\n")
+        out = tmp_path / "s"
+        assert run("simulate", "--out", out, "--config", config, "--diameters", "6,8") == 2
+        assert "ArgumentError: adc_levels must be an integer in 2..1024, got 4096" in capsys.readouterr().err
+        assert not list(out.glob("*.session"))
+
 
 class TestAnalyze:
     def test_outputs(self, small_cohort_dir, tmp_path):
@@ -165,6 +189,32 @@ class TestAnalyze:
         assert run("analyze", small_cohort_dir, "--out", tmp_path / "a") == 3
         assert "MalformedFrame" in capsys.readouterr().err
         bad.unlink()
+
+    def test_over_long_frame_field_is_parse_error(self, small_cohort_dir, tmp_path, capsys):
+        bad = small_cohort_dir / "long.session"
+        bad.write_bytes(
+            b"# schema=1\n# user=x\n# shape=sphere\n# diameter_cm=8\n# period_ms=50\n"
+            + b"1" * 5000 + b",1,2,3,4,5\n"
+        )
+        assert run("analyze", small_cohort_dir, "--out", tmp_path / "a") == 3
+        err = capsys.readouterr().err
+        assert "MalformedFrame: line 6: field of 5000 digits exceeds" in err
+        assert "Traceback" not in err
+        bad.unlink()
+
+    @pytest.mark.parametrize("expected", ["0", "-3"])
+    def test_expected_frames_below_one_is_argument_error(self, tmp_path, capsys, expected):
+        sessions = tmp_path / "headers"
+        sessions.mkdir()
+        for user in ("a", "b"):
+            for d in ("6", "8"):
+                (sessions / f"sphere_{d}cm_{user}.session").write_bytes(
+                    f"# schema=1\n# user={user}\n# shape=sphere\n# diameter_cm={d}\n# period_ms=50\n".encode()
+                )
+        assert run("analyze", sessions, "--out", tmp_path / "a", "--expected-frames", expected) == 2
+        err = capsys.readouterr().err
+        assert f"ArgumentError: expected frame count must be at least 1, got {expected}" in err
+        assert "Traceback" not in err
 
     def test_non_finite_diameter_is_parse_error(self, small_cohort_dir, tmp_path, capsys):
         bad = small_cohort_dir / "inf.session"
@@ -212,6 +262,17 @@ class TestClassify:
         assert run("classify", session, bad) == 2
         err = capsys.readouterr().err
         assert f"ArgumentError: centroid file line {line_no}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("expected", ["0", "-3"])
+    def test_expected_frames_below_one_is_argument_error(self, small_cohort_dir, tmp_path, capsys, expected):
+        analysis = tmp_path / "analysis"
+        assert run("analyze", small_cohort_dir, "--out", analysis) == 0
+        session = sorted(small_cohort_dir.glob("*.session"))[0]
+        capsys.readouterr()
+        assert run("classify", session, analysis / "centroids.csv", "--expected-frames", expected) == 2
+        err = capsys.readouterr().err
+        assert f"ArgumentError: expected frame count must be at least 1, got {expected}" in err
         assert "Traceback" not in err
 
     def test_non_ascii_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys):

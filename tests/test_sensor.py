@@ -204,6 +204,15 @@ class TestConfigFile:
         assert (cfg.noise_amplitude, cfg.adc_levels) == (2, 1000)
         assert type(cfg.noise_amplitude) is int and type(cfg.adc_levels) is int
 
+    @pytest.mark.parametrize("levels", [1025, 4096])
+    def test_adc_levels_above_wire_range_rejected(self, levels):
+        from flexglove import ArgumentError, SensorConfig
+
+        with pytest.raises(ArgumentError, match=r"adc_levels must be an integer in 2\.\.1024"):
+            SensorConfig(adc_levels=levels)
+        with pytest.raises(ArgumentError, match=r"adc_levels must be an integer in 2\.\.1024"):
+            parse_config(f"adc_levels = {levels}\n")
+
     def test_validation_still_applies(self):
         from flexglove import ArgumentError
 

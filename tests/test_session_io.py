@@ -1,8 +1,9 @@
 import io
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flexglove import (
     Frame,
@@ -21,6 +22,7 @@ from flexglove import (
     read_session,
     write_session,
 )
+from oracles import read_session_by_line
 
 adc_values = st.integers(min_value=0, max_value=1023)
 
@@ -104,6 +106,18 @@ class TestParseErrorParity:
             parse_frame(line, line_no=12)
         assert str(exc.value) == f"line 12: {message}"
         assert exc.value.line == 12
+
+    @pytest.mark.parametrize("field", [0, 3])
+    def test_field_beyond_int_digit_limit(self, field):
+        digits = sys.get_int_max_str_digits() + 1
+        fields = ["1"] * 6
+        fields[field] = "1" * digits
+        with pytest.raises(MalformedFrame) as exc:
+            parse_frame(",".join(fields), line_no=9)
+        assert str(exc.value) == (
+            f"line 9: field of {digits} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit conversion limit"
+        )
 
     @pytest.mark.parametrize(
         "line, frame",
@@ -240,3 +254,119 @@ class TestSessionProperties:
                 assert isinstance(session, GraspSession)
             except ParseError:
                 pass
+
+
+# Each mutation edits the frame lines of a valid session (a list of lines
+# without their newlines) or, for the last two, the finished text.
+def _pick_line(data, lines):
+    return data.draw(st.integers(0, len(lines) - 1))
+
+
+def _leading_zero(data, lines):
+    i = _pick_line(data, lines)
+    fields = lines[i].split(",")
+    k = data.draw(st.integers(0, len(fields) - 1))
+    fields[k] = "0" + fields[k]
+    lines[i] = ",".join(fields)
+
+
+def _carriage_return(data, lines):
+    lines[_pick_line(data, lines)] += "\r"
+
+
+def _blank_line_inside(data, lines):
+    lines.insert(data.draw(st.integers(0, len(lines))), "")
+
+
+def _blank_line_at_end(data, lines):
+    lines.append("")
+
+
+def _five_fields(data, lines):
+    i = _pick_line(data, lines)
+    lines[i] = lines[i].rsplit(",", 1)[0]
+
+
+def _seven_fields(data, lines):
+    lines[_pick_line(data, lines)] += ",7"
+
+
+def _non_ascii_digit(data, lines):
+    i = _pick_line(data, lines)
+    lines[i] = "\u0663" + lines[i][1:]
+
+
+def _count_1024_last(data, lines):
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1024"
+
+
+def _over_long_field(data, lines):
+    i = _pick_line(data, lines)
+    fields = lines[i].split(",")
+    fields[data.draw(st.integers(0, len(fields) - 1))] = "7" * (sys.get_int_max_str_digits() + 1)
+    lines[i] = ",".join(fields)
+
+
+def _stamp_not_increasing(data, lines):
+    """Line i takes the timestamp of line i - 1, or 0."""
+    i = data.draw(st.integers(1, len(lines) - 1))
+    stamp = data.draw(st.sampled_from([lines[i - 1].partition(",")[0], "0"]))
+    lines[i] = stamp + "," + lines[i].partition(",")[2]
+
+
+def _no_final_newline(text):
+    return text[:-1] if text.endswith("\n") else text
+
+
+LINE_MUTATIONS = [
+    _leading_zero, _carriage_return, _blank_line_inside, _blank_line_at_end, _five_fields,
+    _seven_fields, _non_ascii_digit, _count_1024_last, _over_long_field, _stamp_not_increasing,
+]
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+class TestBlockLineParity:
+    """read_session takes the frame block in one pass; on every input it must
+    agree with the line-at-a-time reader: the same session, or the same error
+    kind, message and line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sessions(), st.data())
+    def test_mutated_block_matches_line_reader(self, session, data):
+        text = format_session(session).decode("ascii")
+        header, _, body = text.partition("# period_ms=")
+        period_line, _, block = body.partition("\n")
+        lines = block.split("\n")[:-1]
+        for _ in range(data.draw(st.integers(1, 3))):
+            usable = [m for m in LINE_MUTATIONS if len(lines) >= (2 if m is _stamp_not_increasing else 1)]
+            if usable:
+                data.draw(st.sampled_from(usable))(data, lines)
+        text = header + "# period_ms=" + period_line + "\n" + "".join(line + "\n" for line in lines)
+        if data.draw(st.booleans()):
+            text = _no_final_newline(text)
+        raw = text.encode("utf-8")
+        assert _outcome(read_session, raw) == _outcome(read_session_by_line, raw)
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"", b"0,1,2,3,4,5", b"\n", b"0,1,2,3,4,5\n\n", b"0,1,2,3,4,5\n0,1,2,3,4,5\n",
+         b"0,1,2,3,4,05\n", b"0,1,2,3,4,1024\n", b"0,1,2,3,4,5\r\n"],
+    )
+    def test_edge_blocks_match_line_reader(self, body):
+        raw = format_session(make_session(n_frames=2)) + body
+        assert _outcome(read_session, raw) == _outcome(read_session_by_line, raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"", b"# schema=1\n# user=u\n# shape=sphere\n# diameter_cm=8\n",
+         b"# schema=1\n# user=u\n# shape=sphere\n# diameter_cm=8\n# period_ms=50",
+         b"# schema=1\n# user=u\n# shape=sphere\n# diameter_cm=8\n\n0,1,2,3,4,5\n"],
+    )
+    def test_short_and_unterminated_headers_match_line_reader(self, raw):
+        assert _outcome(read_session, raw) == _outcome(read_session_by_line, raw)

@@ -21,6 +21,7 @@ from flexglove import (
     min_max_normalize,
     sem,
     session_mean,
+    session_means,
 )
 from oracles import ols_oracle, sem_oracle
 
@@ -46,6 +47,23 @@ class TestSessionMean:
     def test_unknown_finger(self):
         with pytest.raises(ArgumentError):
             session_mean(constant_session(512), "palm")
+
+    def test_all_fingers_in_one_pass_match_per_finger(self):
+        rng = random.Random(5)
+        frames = [
+            Frame(t_ms=i * 50, adc=tuple(rng.randrange(1024) for _ in range(5))) for i in range(100)
+        ]
+        session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
+        means = session_means(session)
+        assert len(means) == 5
+        for i, finger in enumerate(["thumb", "index", "middle", "ring", "pinky"]):
+            assert means[i] == session_mean(session, finger)
+            assert means[i] == math.fsum(f.adc[i] for f in frames) / 100
+
+    @pytest.mark.parametrize("expected", [0, -3])
+    def test_expected_frames_below_one_rejected(self, expected):
+        with pytest.raises(ArgumentError, match="at least 1"):
+            session_means(constant_session(512, n=0), expected_frames=expected)
 
 
 class TestMinMaxNormalize:
