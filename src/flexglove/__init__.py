@@ -47,7 +47,6 @@ from .session_io import (
     parse_frame,
     read_session,
     read_session_file,
-    write_session,
     write_session_file,
 )
 from .simulate import (
@@ -71,7 +70,6 @@ from .stats import (
     linear_fit,
     min_max_normalize,
     sem,
-    session_mean,
     session_means,
 )
 from .types import (
@@ -79,7 +77,6 @@ from .types import (
     Frame,
     GraspObject,
     GraspSession,
-    SessionHeader,
     Shape,
     default_objects,
 )

@@ -7,12 +7,10 @@ normalized finger means and assigns new sessions to the nearest centroid.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, PreconditionViolation
+from .errors import ArgumentError, PreconditionViolation, content_lines
 from .stats import CohortTable, intervals_overlap, session_means
 from .types import FINGERS, GraspSession, Shape
 
@@ -151,37 +149,37 @@ def classify_session(
 #   kind,shape,diameter_cm,thumb,index,middle,ring,pinky
 # kind=centroid rows hold normalized finger means for one (shape, diameter);
 # kind=raw_min / kind=raw_max rows hold the per-finger raw scale for a shape
-# (diameter_cm left empty).
+# (diameter_cm left empty).  Fields are never quoted: none of them can hold a
+# comma.
 
 _CENTROID_HEADER = ["kind", "shape", "diameter_cm", *FINGERS]
 
 
 def centroids_to_csv(centroids: list[Centroid], context: ScaleContext) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CENTROID_HEADER)
+    rows = [_CENTROID_HEADER]
     for c in sorted(centroids, key=lambda c: (c.shape.value, c.diameter_cm)):
-        writer.writerow(
+        rows.append(
             ["centroid", c.shape.value, f"{c.diameter_cm:g}"] + [f"{v:.6f}" for v in c.vector]
         )
     for shape in sorted({s for s, _ in context}, key=lambda s: s.value):
         lows = [context[(shape, finger)][0] for finger in FINGERS]
         highs = [context[(shape, finger)][1] for finger in FINGERS]
-        writer.writerow(["raw_min", shape.value, ""] + [f"{v:.6f}" for v in lows])
-        writer.writerow(["raw_max", shape.value, ""] + [f"{v:.6f}" for v in highs])
-    return buf.getvalue()
+        rows.append(["raw_min", shape.value, ""] + [f"{v:.6f}" for v in lows])
+        rows.append(["raw_max", shape.value, ""] + [f"{v:.6f}" for v in highs])
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != _CENTROID_HEADER:
-        raise ArgumentError(f"unexpected centroid file header: {header}")
+    lines = content_lines(text)
+    _, header = next(lines, (0, ""))
+    if header.split(",") != _CENTROID_HEADER:
+        raise ArgumentError(f"unexpected centroid file header: {header!r}")
     centroids: list[Centroid] = []
     lows: dict[tuple[Shape, str], float] = {}
     highs: dict[tuple[Shape, str], float] = {}
-    for row in reader:
-        where = f"centroid file line {reader.line_num}"
+    for lineno, line in lines:
+        where = f"centroid file line {lineno}"
+        row = line.split(",")
         if len(row) != len(_CENTROID_HEADER):
             raise ArgumentError(f"{where}: bad centroid row: {row}")
         kind, shape_name, diameter = row[0], row[1], row[2]
@@ -198,7 +196,7 @@ def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
         elif kind == "raw_max":
             highs.update({(shape, finger): v for finger, v in zip(FINGERS, values)})
         else:
-            raise ArgumentError(f"unknown centroid row kind {kind!r}")
+            raise ArgumentError(f"{where}: unknown centroid row kind {kind!r}")
     context: ScaleContext = {
         key: (lows[key], highs[key]) for key in lows if key in highs
     }

@@ -13,7 +13,7 @@ recorded command reproduces the outputs byte for byte.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import random
 import sys
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import build_centroids, centroids_from_csv, centroids_to_csv, classify_session, discriminability, scale_context
-from .errors import ArgumentError, DegenerateRange, GloveError, ParseError, PreconditionViolation
+from .errors import ArgumentError, DegenerateRange, GloveError, ParseError, PreconditionViolation, read_ascii
 from .sensor import SensorConfig, clean_adc_at_diameter, load_config, sample_with_noise
 from .session_io import read_session_file, write_session_file
 from .simulate import (
@@ -47,10 +47,9 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    # No field this program writes holds a comma, so none needs quoting.
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    path.write_text(text, encoding="ascii", newline="")
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outputs: list[str]) -> None:
@@ -185,8 +184,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         disc_rows,
     )
 
-    with open(out / "centroids.csv", "w", newline="", encoding="ascii") as fh:
-        fh.write(centroids_to_csv(build_centroids(table), scale_context(table)))
+    (out / "centroids.csv").write_text(
+        centroids_to_csv(build_centroids(table), scale_context(table)), encoding="ascii", newline=""
+    )
 
     _write_manifest(
         out,
@@ -199,12 +199,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     session = read_session_file(args.session)
-    try:
-        with open(args.centroids, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ArgumentError(f"centroid file is not ASCII: {exc}") from None
-    centroids, context = centroids_from_csv(text)
+    centroids, context = centroids_from_csv(read_ascii(args.centroids, "centroid file"))
     shape, diameter, distance = classify_session(
         session, centroids, context, expected_frames=args.expected_frames
     )
@@ -212,6 +207,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexglove", description="flex-sensor glove simulator and analysis pipeline"

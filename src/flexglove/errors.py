@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader that turns
+hand-edited text files into them."""
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Iterator
 
 
 class GloveError(Exception):
@@ -56,3 +61,20 @@ class PreconditionViolation(GloveError, ValueError):
 
 class DegenerateRange(GloveError, ValueError):
     """Min-max normalization saw a flat input (max == min): dead channel."""
+
+
+def read_ascii(path, what: str) -> str:
+    """The text of a hand-edited input file; a non-ASCII byte is an ArgumentError."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{what} is not ASCII: {exc}") from None
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line of ``text`` that holds content, as (1-based number, stripped
+    line), with '#' comments and blank lines dropped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ArgumentError, BendRangeError, DomainError
+from .errors import ArgumentError, BendRangeError, DomainError, content_lines, read_ascii
 from .types import ADC_MAX
 
 # Shape constants of the calibration-curve family (fractions of the total
@@ -178,10 +178,7 @@ _INTEGER_KEYS = ("adc_levels", "noise_amplitude")
 def parse_config(text: str) -> SensorConfig:
     """Build a SensorConfig from key-value text; unknown keys are an error."""
     raw: dict[str, float | int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
@@ -215,9 +212,4 @@ def format_config(cfg: SensorConfig) -> str:
 
 
 def load_config(path) -> SensorConfig:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ArgumentError(f"config file is not ASCII: {exc}") from None
-    return parse_config(text)
+    return parse_config(read_ascii(path, "config file"))

@@ -18,11 +18,12 @@ Session file: five header lines followed by frame lines, `\n` terminators:
 I/O is deliberately permissive about frame counts (a 37-frame capture is a
 valid file); the analysis layer enforces the expected count instead.
 
-read_session takes the frame block (everything after the header) in one
-pass: one grammar match over the whole block, one split into fields, a
-column per field, timestamps through int() and counts through a table of
-the 1,024 canonical spellings, which is also the range check.  Whatever that
-pass rejects -- a fault, a leading zero, a carriage return, a blank line, a
+read_session takes one session's bytes (read_session_file reads them from a
+path) and takes the frame block, everything after the header, in one pass:
+one grammar match over the whole block, one split into fields, a column per
+field, timestamps through int() and counts through a table of the 1,024
+canonical spellings, which is also the range check.  Whatever that pass
+rejects -- a fault, a leading zero, a carriage return, a blank line, a
 field too long to convert -- goes to the per-line loop over parse_frame,
 which alone decides it: it returns the same frames or raises the error,
 with its line number, that names the first fault.
@@ -33,7 +34,6 @@ import math
 import operator
 import re
 import sys
-from typing import BinaryIO
 
 from .errors import (
     MalformedFrame,
@@ -124,9 +124,8 @@ def _parse_header_line(line: str, key: str, line_no: int) -> str:
     return value
 
 
-def read_session(source: BinaryIO | bytes) -> GraspSession:
-    """Read and validate one session from a byte stream or bytes."""
-    data = source if isinstance(source, bytes) else source.read()
+def read_session(data: bytes) -> GraspSession:
+    """Read and validate one session from its bytes."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -166,7 +165,6 @@ def read_session(source: BinaryIO | bytes) -> GraspSession:
         obj=GraspObject(shape, diameter),
         frames=_read_frames(block),
         sample_period_ms=int(values["period_ms"]),
-        schema_version=int(values["schema"]),
     )
 
 
@@ -217,7 +215,7 @@ def _validate_user_id(user_id: str) -> str:
 def format_session(session: GraspSession) -> bytes:
     """Serialize a session to its canonical byte representation."""
     parts = [
-        f"# schema={session.schema_version}\n",
+        f"# schema={SCHEMA_VERSION}\n",
         f"# user={_validate_user_id(session.user_id)}\n",
         f"# shape={session.obj.shape.value}\n",
         f"# diameter_cm={session.obj.diameter_cm!r}\n",
@@ -227,16 +225,14 @@ def format_session(session: GraspSession) -> bytes:
     return "".join(parts).encode("ascii")
 
 
-def write_session(session: GraspSession, sink: BinaryIO) -> None:
-    """Write a session such that read_session(write_session(s)) == s."""
-    sink.write(format_session(session))
-
-
+# open(), not Path(path).read_bytes(): building a Path on every call adds
+# about as much time as opening the file.
 def read_session_file(path) -> GraspSession:
     with open(path, "rb") as fh:
-        return read_session(fh)
+        return read_session(fh.read())
 
 
 def write_session_file(session: GraspSession, path) -> None:
+    """Write a session such that read_session_file reads it back equal."""
     with open(path, "wb") as fh:
-        write_session(session, fh)
+        fh.write(format_session(session))

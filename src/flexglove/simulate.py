@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import ArgumentError, BendRangeError, DomainError
+from .errors import ArgumentError, DomainError, content_lines, read_ascii
 # sample_with_noise is not called here but stays importable from this module:
 # bench/layers.py traces it under this name.
 from .sensor import SensorConfig, clean_adc_at_diameter, sample_with_noise  # noqa: F401
@@ -84,7 +84,6 @@ def make_hand_profile(
     user_id: str,
     seed: int,
     table: dict[tuple[str, Shape], FingerProfile] | None = None,
-    variability: float = 1.0,
 ) -> HandProfile:
     """Draw one user's profile as a bounded perturbation of the table."""
     table = DEFAULT_PROFILE_TABLE if table is None else table
@@ -93,37 +92,22 @@ def make_hand_profile(
     for finger in FINGERS:
         for shape in Shape:
             base = table[(finger, shape)]
-            gain = base.gain * (1.0 + variability * base.gain_spread * rng.uniform(-1.0, 1.0))
-            offset = base.offset_cm + variability * base.offset_spread_cm * rng.uniform(-1.0, 1.0)
+            gain = base.gain * (1.0 + base.gain_spread * rng.uniform(-1.0, 1.0))
+            offset = base.offset_cm + base.offset_spread_cm * rng.uniform(-1.0, 1.0)
             mapping[(finger, shape)] = (gain, offset)
     return HandProfile(user_id=user_id, mapping=mapping)
 
 
 def finger_bend_diameter(
-    obj: GraspObject,
-    finger: str,
-    profile: HandProfile,
-    sensor: SensorConfig,
-    clamp: bool = True,
+    obj: GraspObject, finger: str, profile: HandProfile, sensor: SensorConfig
 ) -> float:
-    """Bend diameter (cm) this finger's sensor sees while grasping ``obj``.
-
-    With clamping enabled (the default) results tighter than the sensor's
-    domain are pinned to d_tightest; with it disabled they raise.
+    """Bend diameter (cm) this finger's sensor sees while grasping ``obj``,
+    pinned to the sensor's d_tightest where the profile asks for a tighter bend.
     """
     gain, offset = profile.gain_offset(finger, obj.shape)
     if not gain > 0:
         raise DomainError(f"profile gain must be positive, got {gain}")
-    effective = gain * obj.diameter_cm + offset
-    floor_cm = sensor.curve.d_tightest
-    if effective < floor_cm:
-        if not clamp:
-            raise BendRangeError(
-                f"{finger}/{obj.shape.value} at {obj.diameter_cm} cm needs a "
-                f"{effective:.2f} cm bend, below the sensor floor {floor_cm} cm"
-            )
-        return floor_cm
-    return effective
+    return max(gain * obj.diameter_cm + offset, sensor.curve.d_tightest)
 
 
 def clean_finger_adc(
@@ -173,7 +157,6 @@ def simulate_cohort(
     base_seed: int,
     sensor: SensorConfig | None = None,
     table: dict[tuple[str, Shape], FingerProfile] | None = None,
-    variability: float = 1.0,
     user_prefix: str = "u",
 ) -> list[GraspSession]:
     """One session per (user, object), with per-user profiles drawn from
@@ -187,9 +170,7 @@ def simulate_cohort(
 
     master = random.Random(base_seed)
     profiles = [
-        make_hand_profile(
-            f"{user_prefix}{k + 1:02d}", master.getrandbits(32), table, variability
-        )
+        make_hand_profile(f"{user_prefix}{k + 1:02d}", master.getrandbits(32), table)
         for k in range(n_users)
     ]
     sessions = []
@@ -206,10 +187,7 @@ def simulate_cohort(
 
 def parse_profile_table(text: str) -> dict[tuple[str, Shape], FingerProfile]:
     table: dict[tuple[str, Shape], FingerProfile] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 6:
             raise ArgumentError(f"profile table line {lineno}: expected 6 columns, got {len(parts)}")
@@ -244,9 +222,4 @@ def format_profile_table(table: dict[tuple[str, Shape], FingerProfile]) -> str:
 
 
 def load_profile_table(path) -> dict[tuple[str, Shape], FingerProfile]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ArgumentError(f"profile table is not ASCII: {exc}") from None
-    return parse_profile_table(text)
+    return parse_profile_table(read_ascii(path, "profile table"))

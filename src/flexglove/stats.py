@@ -89,13 +89,6 @@ def session_means(session: GraspSession, expected_frames: int = 100) -> tuple[fl
     return tuple(map(statistics.fmean, zip(*(f.adc for f in session.frames))))
 
 
-def session_mean(session: GraspSession, finger: str, expected_frames: int = 100) -> float:
-    """Mean raw count of one finger over a session of the expected length."""
-    if finger not in FINGERS:
-        raise ArgumentError(f"unknown finger {finger!r}")
-    return session_means(session, expected_frames)[FINGERS.index(finger)]
-
-
 def min_max_normalize(values: Mapping[float, float]) -> dict[float, float]:
     """Rescale one user's diameter sweep so its minimum is exactly 0 and its
     maximum exactly 1.  Flat input means a dead channel and raises."""

@@ -12,7 +12,6 @@ from .errors import ArgumentError
 # thumb..pinky, so frame fields, simulator output and every 5-vector in the
 # package share this order with no reordering anywhere.
 FINGERS: tuple[str, ...] = ("thumb", "index", "middle", "ring", "pinky")
-ANALOG_PIN_BY_FINGER: dict[str, str] = dict(zip(FINGERS, ("A4", "A0", "A1", "A2", "A3")))
 
 ADC_MAX = 1023  # 10-bit converter ceiling
 
@@ -55,17 +54,6 @@ class Frame:
     adc: tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class SessionHeader:
-    """Metadata block at the top of a session file."""
-
-    user_id: str
-    shape: Shape
-    diameter_cm: float
-    sample_period_ms: int
-    schema_version: int = 1
-
-
 @dataclass
 class GraspSession:
     """A recorded grasp: an object, a user, and an ordered frame sequence."""
@@ -74,16 +62,6 @@ class GraspSession:
     obj: GraspObject
     frames: list[Frame]
     sample_period_ms: int = 50
-    schema_version: int = 1
-
-    def header(self) -> SessionHeader:
-        return SessionHeader(
-            user_id=self.user_id,
-            shape=self.obj.shape,
-            diameter_cm=self.obj.diameter_cm,
-            sample_period_ms=self.sample_period_ms,
-            schema_version=self.schema_version,
-        )
 
 
 def default_sphere_diameters() -> list[float]:

@@ -100,5 +100,4 @@ def read_session_by_line(data):
         obj=GraspObject(shape, diameter),
         frames=frames,
         sample_period_ms=int(values["period_ms"]),
-        schema_version=int(values["schema"]),
     )

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from flexglove.cli import main
+from flexglove.sensor import SensorConfig, format_config
+from flexglove.simulate import DEFAULT_PROFILE_TABLE, format_profile_table
 
 
 def read_csv(path):
@@ -115,8 +117,6 @@ class TestSimulate:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_profile_table_flag(self, tmp_path):
-        from flexglove.simulate import DEFAULT_PROFILE_TABLE, format_profile_table
-
         table_path = tmp_path / "table.txt"
         table_path.write_text(format_profile_table(DEFAULT_PROFILE_TABLE))
         out = tmp_path / "with_table"
@@ -247,6 +247,7 @@ class TestClassify:
             ("centroid,sphere,6,", "centroid,sphear,6,", "'sphear' is not a valid Shape"),
             ("centroid,sphere,6,", "centroid,sphere,six,", "could not convert string to float: 'six'"),
             ("raw_min,cylinder,,", "raw_min,cylinder,,x", "could not convert string to float: 'x"),
+            ("raw_min,cylinder,,", "raw_mid,cylinder,,", "unknown centroid row kind 'raw_mid'"),
         ],
     )
     def test_bad_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys, old, new, message):
@@ -281,6 +282,67 @@ class TestClassify:
         session = sorted(small_cohort_dir.glob("*.session"))[0]
         assert run("classify", session, bad) == 2
         assert "ArgumentError: centroid file is not ASCII" in capsys.readouterr().err
+
+
+class TestTextInputs:
+    """The config file, the profile table and the centroid file follow one
+    rule: ASCII, '#' comments and blank lines ignored, fields unquoted."""
+
+    @pytest.fixture(params=["config file", "profile table", "centroid file"])
+    def text_input(self, request, tmp_path):
+        """(what, a valid file text, a field of it and that field quoted,
+        a function running the command that reads the file at a path)."""
+        what = request.param
+        if what == "config file":
+            text = format_config(SensorConfig())
+            return what, text, ("vcc = 5.0", 'vcc = "5.0"'), lambda path: run(
+                "characterize", "--out", tmp_path / "c", "--config", path
+            )
+        if what == "profile table":
+            text = format_profile_table(DEFAULT_PROFILE_TABLE)
+            return what, text, ("thumb sphere", 'thumb "sphere"'), lambda path: run(
+                "simulate", "--out", tmp_path / "s", "--profile-table", path,
+                "--users-sphere", "2", "--users-cylinder", "2", "--diameters", "6,7",
+            )
+        sessions, analysis = tmp_path / "sessions", tmp_path / "analysis"
+        assert run(
+            "simulate", "--out", sessions, "--seed", "7",
+            "--users-sphere", "2", "--users-cylinder", "2", "--diameters", "6,8",
+        ) == 0
+        assert run("analyze", sessions, "--out", analysis) == 0
+        text = (analysis / "centroids.csv").read_text()
+        session = sorted(sessions.glob("*.session"))[0]
+        return what, text, ("centroid,sphere,6,", 'centroid,"sphere",6,'), lambda path: run(
+            "classify", session, path
+        )
+
+    def test_comments_blank_lines_and_crlf_accepted(self, text_input, tmp_path):
+        _, text, _, run_with = text_input
+        first, rest = text.split("\n", 1)
+        edited = f"# edited by hand\n{first}\n\n   \n{rest}".replace("\n", "\r\n")
+        path = tmp_path / "edited.txt"
+        path.write_bytes(edited.encode("ascii"))
+        assert run_with(path) == 0
+
+    def test_non_ascii_byte_is_argument_error(self, text_input, tmp_path, capsys):
+        what, text, _, run_with = text_input
+        path = tmp_path / "latin.txt"
+        path.write_bytes(text.encode("ascii") + b"# caf\xe9\n")
+        capsys.readouterr()
+        assert run_with(path) == 2
+        err = capsys.readouterr().err
+        assert f"ArgumentError: {what} is not ASCII" in err
+        assert "Traceback" not in err
+
+    def test_quoted_field_is_argument_error(self, text_input, tmp_path, capsys):
+        _, text, (field, quoted), run_with = text_input
+        assert text.count(field) == 1
+        path = tmp_path / "quoted.txt"
+        path.write_text(text.replace(field, quoted))
+        capsys.readouterr()
+        assert run_with(path) == 2
+        err = capsys.readouterr().err
+        assert "ArgumentError" in err and "Traceback" not in err
 
 
 class TestExitCodes:

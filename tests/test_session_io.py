@@ -1,4 +1,3 @@
-import io
 import random
 import sys
 
@@ -20,7 +19,8 @@ from flexglove import (
     format_session,
     parse_frame,
     read_session,
-    write_session,
+    read_session_file,
+    write_session_file,
 )
 from oracles import read_session_by_line
 
@@ -149,11 +149,10 @@ class TestParseErrorParity:
 
 
 class TestReadSession:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         session = make_session()
-        buf = io.BytesIO()
-        write_session(session, buf)
-        assert read_session(buf.getvalue()) == session
+        write_session_file(session, tmp_path / "s.session")
+        assert read_session_file(tmp_path / "s.session") == session
 
     def test_header_plus_100_frames(self):
         session = make_session(n_frames=100)

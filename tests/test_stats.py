@@ -20,7 +20,6 @@ from flexglove import (
     linear_fit,
     min_max_normalize,
     sem,
-    session_mean,
     session_means,
 )
 from oracles import ols_oracle, sem_oracle
@@ -33,20 +32,16 @@ def constant_session(value, n=100, user="u01", shape=Shape.SPHERE, diameter=8.0)
 
 class TestSessionMean:
     def test_constant(self):
-        assert session_mean(constant_session(512), "ring") == 512.0
+        assert session_means(constant_session(512)) == (512.0,) * 5
 
     def test_alternating(self):
         frames = [Frame(t_ms=i * 50, adc=(500 if i % 2 else 502,) * 5) for i in range(100)]
         session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
-        assert session_mean(session, "thumb") == 501.0
+        assert session_means(session) == (501.0,) * 5
 
     def test_wrong_frame_count(self):
         with pytest.raises(PreconditionViolation):
-            session_mean(constant_session(512, n=99), "ring")
-
-    def test_unknown_finger(self):
-        with pytest.raises(ArgumentError):
-            session_mean(constant_session(512), "palm")
+            session_means(constant_session(512, n=99))
 
     def test_all_fingers_in_one_pass_match_per_finger(self):
         rng = random.Random(5)
@@ -56,8 +51,7 @@ class TestSessionMean:
         session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
         means = session_means(session)
         assert len(means) == 5
-        for i, finger in enumerate(["thumb", "index", "middle", "ring", "pinky"]):
-            assert means[i] == session_mean(session, finger)
+        for i in range(5):
             assert means[i] == math.fsum(f.adc[i] for f in frames) / 100
 
     @pytest.mark.parametrize("expected", [0, -3])
