@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, PreconditionViolation, content_lines
+from .errors import ArgumentError, PreconditionViolation, content_lines, finite_floats
 from .stats import CohortTable, intervals_overlap, session_means
 from .types import FINGERS, GraspSession, Shape
 
@@ -127,20 +127,16 @@ def classify_session(
         raise PreconditionViolation("no centroids to classify against")
     raw_means = dict(zip(FINGERS, session_means(session, expected_frames)))
 
-    by_shape: dict[Shape, tuple[float, ...]] = {}
-    best: tuple[float, float, int, Centroid] | None = None
-    for centroid in centroids:
-        if centroid.shape not in by_shape:
-            by_shape[centroid.shape] = _normalize_query(raw_means, centroid.shape, context)
-        query = by_shape[centroid.shape]
-        distance = math.dist(query, centroid.vector)
-        shape_rank = 0 if centroid.shape is Shape.SPHERE else 1
-        key = (distance, centroid.diameter_cm, shape_rank, centroid)
-        if best is None or key[:3] < best[:3]:
-            best = key
-    assert best is not None
-    distance, _, _, winner = best
-    return winner.shape, winner.diameter_cm, distance
+    queries = {
+        shape: _normalize_query(raw_means, shape, context)
+        for shape in dict.fromkeys(c.shape for c in centroids)
+    }
+
+    def rank(c: Centroid) -> tuple[float, float, bool]:
+        return math.dist(queries[c.shape], c.vector), c.diameter_cm, c.shape is not Shape.SPHERE
+
+    winner = min(centroids, key=rank)
+    return winner.shape, winner.diameter_cm, rank(winner)[0]
 
 
 # --- centroid file support ----------------------------------------------------
@@ -182,19 +178,17 @@ def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
         row = line.split(",")
         if len(row) != len(_CENTROID_HEADER):
             raise ArgumentError(f"{where}: bad centroid row: {row}")
-        kind, shape_name, diameter = row[0], row[1], row[2]
+        kind, shape_name = row[0], row[1]
         try:
             shape = Shape(shape_name)
-            values = [float(v) for v in row[3:]]
-            diameter_cm = float(diameter) if kind == "centroid" else None
         except ValueError as exc:
             raise ArgumentError(f"{where}: {exc}") from None
         if kind == "centroid":
+            diameter_cm, *values = finite_floats(row[2:], _CENTROID_HEADER[2:], where)
             centroids.append(Centroid(shape=shape, diameter_cm=diameter_cm, vector=tuple(values)))
-        elif kind == "raw_min":
-            lows.update({(shape, finger): v for finger, v in zip(FINGERS, values)})
-        elif kind == "raw_max":
-            highs.update({(shape, finger): v for finger, v in zip(FINGERS, values)})
+        elif kind in ("raw_min", "raw_max"):
+            scale = lows if kind == "raw_min" else highs
+            scale.update(zip([(shape, f) for f in FINGERS], finite_floats(row[3:], FINGERS, where)))
         else:
             raise ArgumentError(f"{where}: unknown centroid row kind {kind!r}")
     context: ScaleContext = {

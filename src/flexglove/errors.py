@@ -2,8 +2,9 @@
 hand-edited text files into them."""
 from __future__ import annotations
 
+import math
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class GloveError(Exception):
@@ -78,3 +79,19 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
         line = line.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def finite_floats(fields: Sequence[str], names: Sequence[str], where: str) -> list[float]:
+    """``fields`` (named by ``names``) as finite floats.  A field that is not
+    a number, else the first that is not finite, is an ArgumentError
+    "<where>: ..."."""
+    try:
+        numbers = list(map(float, fields))
+    except ValueError as exc:
+        raise ArgumentError(f"{where}: {exc}") from None
+    # all() keeps the common case in C: classify reads a centroid file, a call
+    # per row, on every command.  The search only names the bad field.
+    if not all(map(math.isfinite, numbers)):
+        text, name = next((t, n) for x, t, n in zip(numbers, fields, names) if not math.isfinite(x))
+        raise ArgumentError(f"{where}: {name} must be finite, got {text!r}")
+    return numbers

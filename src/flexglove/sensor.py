@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ArgumentError, BendRangeError, DomainError, content_lines, read_ascii
+from .errors import ArgumentError, BendRangeError, DomainError, content_lines, finite_floats, read_ascii
 from .types import ADC_MAX
 
 # Shape constants of the calibration-curve family (fractions of the total
@@ -185,12 +185,7 @@ def parse_config(text: str) -> SensorConfig:
             raise ArgumentError(f"config line {lineno}: expected 'key = value', got {line!r}")
         if key not in _CURVE_KEYS + _CONFIG_KEYS:
             raise ArgumentError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise ArgumentError(f"config line {lineno}: {value!r} is not a number") from None
-        if not math.isfinite(number):
-            raise ArgumentError(f"config line {lineno}: {key} must be finite, got {value!r}")
+        [number] = finite_floats([value], [key], f"config line {lineno}")
         if key in _INTEGER_KEYS:
             if not number.is_integer():
                 raise ArgumentError(f"config line {lineno}: {key} must be an integer, got {value!r}")

@@ -19,14 +19,13 @@ I/O is deliberately permissive about frame counts (a 37-frame capture is a
 valid file); the analysis layer enforces the expected count instead.
 
 read_session takes one session's bytes (read_session_file reads them from a
-path) and takes the frame block, everything after the header, in one pass:
-one grammar match over the whole block, one split into fields, a column per
-field, timestamps through int() and counts through a table of the 1,024
-canonical spellings, which is also the range check.  Whatever that pass
-rejects -- a fault, a leading zero, a carriage return, a blank line, a
-field too long to convert -- goes to the per-line loop over parse_frame,
-which alone decides it: it returns the same frames or raises the error,
-with its line number, that names the first fault.
+path) and reads the frame block, everything after the header, by one of two
+paths.  The block pass: one grammar match over the whole block, one split
+into fields, timestamps through int() and counts through a table of the
+1,024 canonical spellings, which is also the range check.  parse_frame, line
+by line, for whatever the block pass rejects (a fault, a leading zero, a
+carriage return, a blank line, a field too long to convert): it returns the
+same frames or raises the error, with its line number, of the first fault.
 """
 from __future__ import annotations
 
@@ -39,7 +38,6 @@ from .errors import (
     MalformedFrame,
     MalformedHeader,
     OrderViolation,
-    ParseError,
     RangeViolation,
     SchemaError,
 )
@@ -51,13 +49,9 @@ _HEADER_KEYS = ("schema", "user", "shape", "diameter_cm", "period_ms")
 
 
 def _is_decimal(fieldtext: str) -> bool:
-    # str.isdigit() accepts non-ASCII digits; the wire grammar does not.
-    return bool(fieldtext) and all(c in "0123456789" for c in fieldtext)
+    # str.isdigit() alone accepts non-ASCII digits; the wire grammar does not.
+    return fieldtext.isascii() and fieldtext.isdigit()
 
-
-# The whole wire grammar in one pattern; re.ASCII keeps \d to 0-9.  Trailing
-# newlines are tolerated, as rstrip("\n") in _frame_error tolerates them.
-_FRAME_LINE = re.compile(r"(\d+),(\d+),(\d+),(\d+),(\d+),(\d+)\n*", re.ASCII)
 
 # A frame block in which every line is six decimal fields and ends in \n.
 _FRAME_BLOCK = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
@@ -68,45 +62,33 @@ _COUNT_BY_TEXT = {str(n): n for n in range(ADC_MAX + 1)}
 
 
 def parse_frame(line: str, line_no: int | None = None) -> Frame:
-    """Parse one wire-format record into a Frame.
+    """Parse one wire-format record into a Frame; trailing newlines are ignored.
 
     Raises MalformedFrame when the line is not six comma-separated decimal
     fields, RangeViolation when a field parses but exceeds the 10-bit ceiling
     (which points at a wiring or converter fault rather than a typo).
     """
-    match = _FRAME_LINE.fullmatch(line)
-    if match is not None:
-        try:
-            t_ms, thumb, index, middle, ring, pinky = map(int, match.groups())
-        except ValueError:  # a field beyond int()'s digit limit
-            pass
-        else:
-            if max(thumb, index, middle, ring, pinky) <= ADC_MAX:
-                return Frame(t_ms, (thumb, index, middle, ring, pinky))
-    raise _frame_error(line, line_no)
-
-
-def _frame_error(line: str, line_no: int | None) -> ParseError:
-    """The error for a line that parse_frame rejected, naming the first fault
-    in field order."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != 6:
-        return MalformedFrame(f"expected 6 fields, got {len(fields)}", line=line_no)
+        raise MalformedFrame(f"expected 6 fields, got {len(fields)}", line=line_no)
     bad = next((f for f in fields if not _is_decimal(f)), None)
     if bad is not None:
-        return MalformedFrame(f"field {bad!r} is not a non-negative decimal integer", line=line_no)
+        raise MalformedFrame(f"field {bad!r} is not a non-negative decimal integer", line=line_no)
     values = []
     for fieldtext in fields:
         try:
             values.append(int(fieldtext))
         except ValueError:
-            return MalformedFrame(
+            raise MalformedFrame(
                 f"field of {len(fieldtext)} digits exceeds the "
                 f"{sys.get_int_max_str_digits()}-digit conversion limit",
                 line=line_no,
-            )
-    over = next(v for v in values[1:] if v > ADC_MAX)
-    return RangeViolation(f"ADC value {over} exceeds {ADC_MAX}", line=line_no)
+            ) from None
+    t_ms, *adc = values
+    over = next((v for v in adc if v > ADC_MAX), None)
+    if over is not None:
+        raise RangeViolation(f"ADC value {over} exceeds {ADC_MAX}", line=line_no)
+    return Frame(t_ms, tuple(adc))
 
 
 def format_frame(frame: Frame) -> str:
@@ -169,7 +151,11 @@ def read_session(data: bytes) -> GraspSession:
 
 
 def _read_frames(block: str) -> list[Frame]:
-    """The frames of a frame block, in one pass when the block is canonical."""
+    """The frames of a frame block, in one pass when the block is canonical.
+
+    Any other block goes through parse_frame line by line, which raises the
+    error of its first faulty line: a frame that parse_frame rejects or a
+    timestamp that does not increase."""
     if block and not block.endswith("\n"):
         block += "\n"
     if _FRAME_BLOCK.fullmatch(block) is not None:
@@ -183,19 +169,10 @@ def _read_frames(block: str) -> list[Frame]:
         else:
             if all(map(operator.lt, stamps, stamps[1:])):
                 return list(map(Frame, stamps, zip(*counts)))
-    return _read_frames_by_line(block)
-
-
-def _read_frames_by_line(block: str) -> list[Frame]:
-    """Parse a frame block line by line, raising the error of its first
-    faulty line: a frame that parse_frame rejects or a timestamp that does
-    not increase."""
-    lines = block.split("\n")
-    if lines[-1] == "":
-        lines.pop()
     frames: list[Frame] = []
     last_t = -1
-    for i, line in enumerate(lines, start=len(_HEADER_KEYS) + 1):
+    # block is empty or ends in \n, so the last item of the split is "".
+    for i, line in enumerate(block.split("\n")[:-1], start=len(_HEADER_KEYS) + 1):
         frame = parse_frame(line, line_no=i)
         if frame.t_ms <= last_t:
             raise OrderViolation(

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import ArgumentError, DomainError, content_lines, read_ascii
+from .errors import ArgumentError, DomainError, content_lines, finite_floats, read_ascii
 # sample_with_noise is not called here but stays importable from this module:
 # bench/layers.py traces it under this name.
 from .sensor import SensorConfig, clean_adc_at_diameter, sample_with_noise  # noqa: F401
@@ -123,11 +123,11 @@ def simulate_session(
     sensor: SensorConfig,
     seed: int,
     n_frames: int = DEFAULT_FRAME_COUNT,
-    period_ms: int = DEFAULT_PERIOD_MS,
 ) -> GraspSession:
-    """Simulate one static grasp recording, deterministic per seed."""
-    if n_frames < 0 or period_ms <= 0:
-        raise ArgumentError("need n_frames >= 0 and period_ms > 0")
+    """Simulate one static grasp recording, sampled every DEFAULT_PERIOD_MS,
+    deterministic per seed."""
+    if n_frames < 0:
+        raise ArgumentError("need n_frames >= 0")
     clean = tuple(clean_finger_adc(obj, finger, profile, sensor) for finger in FINGERS)
     top = sensor.adc_levels - 1
     for count in clean:
@@ -145,9 +145,9 @@ def simulate_session(
             [max(0, min(c + draw(span) - amp, top)) for _ in range(n_frames) for c in clean]
         )
         adcs = zip(*[noisy] * len(FINGERS))
-    frames = [Frame(i * period_ms, adc) for i, adc in enumerate(adcs)]
+    frames = [Frame(i * DEFAULT_PERIOD_MS, adc) for i, adc in enumerate(adcs)]
     return GraspSession(
-        user_id=profile.user_id, obj=obj, frames=frames, sample_period_ms=period_ms
+        user_id=profile.user_id, obj=obj, frames=frames, sample_period_ms=DEFAULT_PERIOD_MS
     )
 
 
@@ -188,18 +188,22 @@ def simulate_cohort(
 def parse_profile_table(text: str) -> dict[tuple[str, Shape], FingerProfile]:
     table: dict[tuple[str, Shape], FingerProfile] = {}
     for lineno, line in content_lines(text):
+        where = f"profile table line {lineno}"
         parts = line.split()
         if len(parts) != 6:
-            raise ArgumentError(f"profile table line {lineno}: expected 6 columns, got {len(parts)}")
+            raise ArgumentError(f"{where}: expected 6 columns, got {len(parts)}")
         finger, shape_name = parts[0], parts[1]
         if finger not in FINGERS:
-            raise ArgumentError(f"profile table line {lineno}: unknown finger {finger!r}")
+            raise ArgumentError(f"{where}: unknown finger {finger!r}")
         try:
             shape = Shape(shape_name)
-            numbers = [float(p) for p in parts[2:]]
         except ValueError as exc:
-            raise ArgumentError(f"profile table line {lineno}: {exc}") from None
-        table[(finger, shape)] = FingerProfile(*numbers)
+            raise ArgumentError(f"{where}: {exc}") from None
+        profile = FingerProfile(*finite_floats(parts[2:], FingerProfile._fields, where))
+        for name, spread in zip(FingerProfile._fields[2:], profile[2:]):
+            if spread < 0:
+                raise ArgumentError(f"{where}: {name} must be non-negative, got {spread!r}")
+        table[(finger, shape)] = profile
     missing = [key for f in FINGERS for s in Shape if (key := (f, s)) not in table]
     if missing:
         raise ArgumentError(f"profile table incomplete, missing {missing[0]}")

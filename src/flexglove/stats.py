@@ -18,6 +18,9 @@ from .types import FINGERS, GraspSession, Shape
 
 CellKey = tuple[Shape, float, str]  # (shape, diameter_cm, finger)
 
+# cohort_fits' subrange: the diameters above which thumb and index saturate.
+SUBRANGE_ABOVE_CM = 10.0
+
 
 @dataclass(frozen=True)
 class FingerStats:
@@ -191,10 +194,8 @@ def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = 100) -
     return table
 
 
-def cohort_fits(
-    table: CohortTable, subrange_above_cm: float = 10.0
-) -> list[tuple[Shape, str, str, RegressionFit, int]]:
-    """Full-range and above-threshold subrange fits per (shape, finger).
+def cohort_fits(table: CohortTable) -> list[tuple[Shape, str, str, RegressionFit, int]]:
+    """Full-range and above-SUBRANGE_ABOVE_CM subrange fits per (shape, finger).
 
     Returns rows of (shape, finger, range_name, fit, n_points); a subrange
     with fewer than two diameters is skipped rather than fabricated.
@@ -205,7 +206,7 @@ def cohort_fits(
         for finger in FINGERS:
             spans = [
                 ("full", diameters),
-                (f"gt{subrange_above_cm:g}", [d for d in diameters if d > subrange_above_cm]),
+                (f"gt{SUBRANGE_ABOVE_CM:g}", [d for d in diameters if d > SUBRANGE_ABOVE_CM]),
             ]
             for name, span in spans:
                 if len(span) < 2:

@@ -64,18 +64,11 @@ class GraspSession:
     sample_period_ms: int = 50
 
 
-def default_sphere_diameters() -> list[float]:
-    """The full 1 cm sweep; see README for the sphere-count caveat."""
-    return [float(d) for d in range(6, 17)]
-
-
-def default_cylinder_diameters() -> list[float]:
-    """Same sweep minus 10 cm (that test object was never available)."""
-    return [float(d) for d in range(6, 17) if d != 10]
-
-
 def default_objects(shape: Shape) -> list[GraspObject]:
-    diameters = (
-        default_sphere_diameters() if shape is Shape.SPHERE else default_cylinder_diameters()
-    )
-    return [GraspObject(shape, d) for d in diameters]
+    """The full 1 cm sweep, 6-16 cm; cylinders skip 10 cm (that test object
+    was never available).  See README for the sphere-count caveat."""
+    return [
+        GraspObject(shape, float(d))
+        for d in range(6, 17)
+        if shape is Shape.SPHERE or d != 10
+    ]

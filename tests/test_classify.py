@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -137,6 +138,17 @@ class TestClassifySession:
         ]
         shape, _, _ = classify_session(query_session((32,) * 5), centroids, simple_context())
         assert shape is Shape.SPHERE
+
+    def test_equidistant_smaller_diameter_beats_sphere(self):
+        # diameter is the first tie-break, shape only the second
+        centroids = [
+            Centroid(Shape.SPHERE, 9.0, (0.75,) * 5),
+            Centroid(Shape.CYLINDER, 8.0, (0.25,) * 5),
+            Centroid(Shape.SPHERE, 8.5, (1.0,) * 5),
+        ]
+        assert classify_session(query_session((64,) * 5), centroids, simple_context()) == (
+            Shape.CYLINDER, 8.0, math.dist((0.5,) * 5, (0.25,) * 5)
+        )
 
     def test_centroid_order_is_irrelevant(self):
         rng = random.Random(4)

@@ -276,6 +276,41 @@ class TestClassify:
         assert f"ArgumentError: expected frame count must be at least 1, got {expected}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_centroid_value_is_argument_error(self, small_cohort_dir, tmp_path, capsys, value):
+        # A nan makes every distance to the sphere 6 cm centroid nan: never the nearest.
+        analysis = tmp_path / "analysis"
+        assert run("analyze", small_cohort_dir, "--out", analysis) == 0
+        lines = (analysis / "centroids.csv").read_text().split("\n")
+        line_no = next(i for i, line in enumerate(lines, 1) if line.startswith("centroid,sphere,6,"))
+        row = lines[line_no - 1].split(",")
+        row[3] = value
+        lines[line_no - 1] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        session = sorted(small_cohort_dir.glob("sphere_6cm_*.session"))[0]
+        capsys.readouterr()
+        assert run("classify", session, bad) == 2
+        err = capsys.readouterr().err
+        assert f"ArgumentError: centroid file line {line_no}: thumb must be finite, got '{value}'" in err
+        assert "Traceback" not in err
+
+    def test_repeated_centroid_row_classifies(self, small_cohort_dir, tmp_path, capsys):
+        # Two rows that tie exactly on every rank must not be compared themselves.
+        analysis = tmp_path / "analysis"
+        assert run("analyze", small_cohort_dir, "--out", analysis) == 0
+        session = sorted(small_cohort_dir.glob("sphere_6cm_*.session"))[0]
+        capsys.readouterr()
+        assert run("classify", session, analysis / "centroids.csv") == 0
+        reference = capsys.readouterr().out
+        text = (analysis / "centroids.csv").read_text()
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text(text + "".join(line + "\n" for line in text.splitlines() if line.startswith("centroid,")))
+        assert run("classify", session, doubled) == 0
+        out, err = capsys.readouterr()
+        assert out == reference
+        assert "Traceback" not in err
+
     def test_non_ascii_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes("kind,shape,diameter_cm,thumb,index,middle,ring,pinky\ncentroid,sph\u00e9re\n".encode())
@@ -332,6 +367,32 @@ class TestTextInputs:
         assert run_with(path) == 2
         err = capsys.readouterr().err
         assert f"ArgumentError: {what} is not ASCII" in err
+        assert "Traceback" not in err
+
+    # A numeric field of each file spelled as a non-finite number, and the
+    # error, whose {} is the line number.
+    NON_FINITE = {
+        "config file": ("vcc = 5.0", "vcc = inf", "config line {}: vcc must be finite, got 'inf'"),
+        "profile table": (
+            "thumb sphere 1.0 ", "thumb sphere nan ", "profile table line {}: gain must be finite, got 'nan'"
+        ),
+        "centroid file": (
+            "centroid,sphere,6,", "centroid,sphere,-inf,",
+            "centroid file line {}: diameter_cm must be finite, got '-inf'",
+        ),
+    }
+
+    def test_non_finite_number_is_argument_error(self, text_input, tmp_path, capsys):
+        what, text, _, run_with = text_input
+        old, new, message = self.NON_FINITE[what]
+        assert text.count(old) == 1
+        line_no = text[: text.index(old)].count("\n") + 1
+        path = tmp_path / "non_finite.txt"
+        path.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert run_with(path) == 2
+        err = capsys.readouterr().err
+        assert f"ArgumentError: {message.format(line_no)}" in err
         assert "Traceback" not in err
 
     def test_quoted_field_is_argument_error(self, text_input, tmp_path, capsys):

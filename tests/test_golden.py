@@ -40,3 +40,18 @@ def test_seed_2020_simulate_and_analyze_match_committed_digests(tmp_path, capsys
     line = capsys.readouterr().out
     assert line == "shape=sphere diameter_cm=9 distance=0.030446\n"
     assert sha256(line.encode("ascii")) == digests["replay-classify/0"][session.name]
+
+
+# bench/golden_2020.json holds no characterize outputs; these digests were
+# recorded from the same seed-2020 pipeline and pin its two files here.
+CHARACTERIZE_DIGESTS = {
+    "sweep.csv": "8ff64898277f604ed801bf888cd763086020af0d9713db0a018339a683e0f761",
+    "stability.csv": "71f7fc299f0323b2c081fc5b5e0b9a14fec40e6d9378c55090541eb6c9d448d2",
+}
+
+
+def test_seed_2020_characterize_matches_recorded_digests(tmp_path):
+    out = tmp_path / "characterize"
+    assert main(["characterize", "--seed", "2020", "--out", str(out)]) == 0
+    written = {name: sha256((out / name).read_bytes()) for name in CHARACTERIZE_DIGESTS}
+    assert written == CHARACTERIZE_DIGESTS

@@ -229,3 +229,19 @@ class TestProfileTableFile:
     def test_bad_row_rejected(self):
         with pytest.raises(ArgumentError):
             parse_profile_table("thumb sphere 1.0 0.5\n")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("thumb sphere inf 0.75 -0.02 0.1", "line 3: gain must be finite, got 'inf'"),
+            ("thumb sphere 1.0 nan 0.02 0.1", "line 3: offset_cm must be finite, got 'nan'"),
+            ("thumb sphere 1.0 0.75 0.02 -Infinity", "line 3: offset_spread_cm must be finite, got '-Infinity'"),
+            ("thumb sphere 1.0 0.75 -0.02 0.1", "line 3: gain_spread must be non-negative, got -0.02"),
+            ("thumb sphere 1.0 0.75 0.02 -0.1", "line 3: offset_spread_cm must be non-negative, got -0.1"),
+        ],
+    )
+    def test_non_finite_number_or_negative_spread_rejected(self, row, message):
+        text = format_profile_table(DEFAULT_PROFILE_TABLE).replace("thumb sphere 1.0 0.75 0.02 0.1", row)
+        with pytest.raises(ArgumentError) as exc:
+            parse_profile_table(text)
+        assert str(exc.value) == f"profile table {message}"

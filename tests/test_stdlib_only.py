@@ -1,0 +1,38 @@
+"""The runtime imports nothing outside the standard library and the package."""
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "flexglove").glob("*.py"))
+
+
+def imported_modules(tree: ast.AST) -> list[str]:
+    """Top-level names of every absolute import in ``tree``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_sources_found():
+    assert len(SOURCES) > 1
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_package(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    foreign = [
+        name for name in imported_modules(tree)
+        if name not in sys.stdlib_module_names and name != "flexglove"
+    ]
+    assert foreign == []
+
+
+def test_guard_flags_a_third_party_import():
+    tree = ast.parse("import os\nimport numpy as np\nfrom .errors import ArgumentError\nfrom yaml import safe_load\n")
+    assert [n for n in imported_modules(tree) if n not in sys.stdlib_module_names] == ["numpy", "yaml"]
