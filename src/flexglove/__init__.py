@@ -42,7 +42,6 @@ from .sensor import (
     sensor_node_voltage,
 )
 from .session_io import (
-    format_frame,
     format_session,
     parse_frame,
     read_session,
@@ -74,7 +73,6 @@ from .stats import (
 )
 from .types import (
     FINGERS,
-    Frame,
     GraspObject,
     GraspSession,
     Shape,

@@ -185,6 +185,8 @@ def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
             raise ArgumentError(f"{where}: {exc}") from None
         if kind == "centroid":
             diameter_cm, *values = finite_floats(row[2:], _CENTROID_HEADER[2:], where)
+            if not diameter_cm > 0:
+                raise ArgumentError(f"{where}: diameter_cm must be positive, got {row[2]!r}")
             centroids.append(Centroid(shape=shape, diameter_cm=diameter_cm, vector=tuple(values)))
         elif kind in ("raw_min", "raw_max"):
             scale = lows if kind == "raw_min" else highs

@@ -7,6 +7,8 @@ Wire format, one frame per line, newline terminated, ASCII decimal:
 
     <t_ms>,<thumb>,<index>,<middle>,<ring>,<pinky>
 
+In memory a frame is the same six fields, in order, as a tuple of ints.
+
 Session file: five header lines followed by frame lines, `\n` terminators:
 
     # schema=1
@@ -41,7 +43,7 @@ from .errors import (
     RangeViolation,
     SchemaError,
 )
-from .types import ADC_MAX, Frame, GraspObject, GraspSession, Shape
+from .types import ADC_MAX, GraspObject, GraspSession, Shape
 
 SCHEMA_VERSION = 1
 
@@ -61,8 +63,8 @@ _FRAME_BLOCK = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
 _COUNT_BY_TEXT = {str(n): n for n in range(ADC_MAX + 1)}
 
 
-def parse_frame(line: str, line_no: int | None = None) -> Frame:
-    """Parse one wire-format record into a Frame; trailing newlines are ignored.
+def parse_frame(line: str, line_no: int | None = None) -> tuple[int, ...]:
+    """Parse one wire-format record into its six ints; trailing newlines are ignored.
 
     Raises MalformedFrame when the line is not six comma-separated decimal
     fields, RangeViolation when a field parses but exceeds the 10-bit ceiling
@@ -84,16 +86,10 @@ def parse_frame(line: str, line_no: int | None = None) -> Frame:
                 f"{sys.get_int_max_str_digits()}-digit conversion limit",
                 line=line_no,
             ) from None
-    t_ms, *adc = values
-    over = next((v for v in adc if v > ADC_MAX), None)
+    over = next((v for v in values[1:] if v > ADC_MAX), None)
     if over is not None:
         raise RangeViolation(f"ADC value {over} exceeds {ADC_MAX}", line=line_no)
-    return Frame(t_ms, tuple(adc))
-
-
-def format_frame(frame: Frame) -> str:
-    thumb, index, middle, ring, pinky = frame.adc
-    return f"{frame.t_ms},{thumb},{index},{middle},{ring},{pinky}\n"
+    return tuple(values)
 
 
 def _parse_header_line(line: str, key: str, line_no: int) -> str:
@@ -150,7 +146,7 @@ def read_session(data: bytes) -> GraspSession:
     )
 
 
-def _read_frames(block: str) -> list[Frame]:
+def _read_frames(block: str) -> list[tuple[int, ...]]:
     """The frames of a frame block, in one pass when the block is canonical.
 
     Any other block goes through parse_frame line by line, which raises the
@@ -168,17 +164,17 @@ def _read_frames(block: str) -> list[Frame]:
             pass
         else:
             if all(map(operator.lt, stamps, stamps[1:])):
-                return list(map(Frame, stamps, zip(*counts)))
-    frames: list[Frame] = []
+                return list(zip(stamps, *counts))
+    frames = []
     last_t = -1
     # block is empty or ends in \n, so the last item of the split is "".
     for i, line in enumerate(block.split("\n")[:-1], start=len(_HEADER_KEYS) + 1):
         frame = parse_frame(line, line_no=i)
-        if frame.t_ms <= last_t:
+        if frame[0] <= last_t:
             raise OrderViolation(
-                f"timestamp {frame.t_ms} ms does not increase past {last_t} ms", line=i
+                f"timestamp {frame[0]} ms does not increase past {last_t} ms", line=i
             )
-        last_t = frame.t_ms
+        last_t = frame[0]
         frames.append(frame)
     return frames
 
@@ -198,7 +194,7 @@ def format_session(session: GraspSession) -> bytes:
         f"# diameter_cm={session.obj.diameter_cm!r}\n",
         f"# period_ms={session.sample_period_ms}\n",
     ]
-    parts.extend(format_frame(frame) for frame in session.frames)
+    parts.extend(f"{t},{a},{b},{c},{d},{e}\n" for t, a, b, c, d, e in session.frames)
     return "".join(parts).encode("ascii")
 
 

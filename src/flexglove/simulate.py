@@ -16,7 +16,7 @@ from .errors import ArgumentError, DomainError, content_lines, finite_floats, re
 # sample_with_noise is not called here but stays importable from this module:
 # bench/layers.py traces it under this name.
 from .sensor import SensorConfig, clean_adc_at_diameter, sample_with_noise  # noqa: F401
-from .types import FINGERS, Frame, GraspObject, GraspSession, Shape
+from .types import FINGERS, GraspObject, GraspSession, Shape
 
 DEFAULT_FRAME_COUNT = 100
 DEFAULT_PERIOD_MS = 50
@@ -134,8 +134,9 @@ def simulate_session(
         if not 0 <= count <= top:
             raise DomainError(f"count {count} outside 0..{top}")
     amp = int(sensor.noise_amplitude)
+    stamps = range(0, n_frames * DEFAULT_PERIOD_MS, DEFAULT_PERIOD_MS)
     if amp == 0:
-        adcs = [clean] * n_frames
+        frames = [(t, *clean) for t in stamps]
     else:
         # randrange(2*amp + 1) - amp consumes the generator exactly as
         # sample_with_noise's randint(-amp, amp) does, so drawing a whole
@@ -144,8 +145,7 @@ def simulate_session(
         noisy = iter(
             [max(0, min(c + draw(span) - amp, top)) for _ in range(n_frames) for c in clean]
         )
-        adcs = zip(*[noisy] * len(FINGERS))
-    frames = [Frame(i * DEFAULT_PERIOD_MS, adc) for i, adc in enumerate(adcs)]
+        frames = list(zip(stamps, *[noisy] * len(FINGERS)))
     return GraspSession(
         user_id=profile.user_id, obj=obj, frames=frames, sample_period_ms=DEFAULT_PERIOD_MS
     )

@@ -89,7 +89,7 @@ def session_means(session: GraspSession, expected_frames: int = 100) -> tuple[fl
             f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
             f"has {len(session.frames)} frames, expected {expected_frames}"
         )
-    return tuple(map(statistics.fmean, zip(*(f.adc for f in session.frames))))
+    return tuple(map(statistics.fmean, list(zip(*session.frames))[1:]))
 
 
 def min_max_normalize(values: Mapping[float, float]) -> dict[float, float]:

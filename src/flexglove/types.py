@@ -1,4 +1,4 @@
-"""Core domain types: fingers, shapes, frames and grasp sessions."""
+"""Core domain types: fingers, shapes, objects and grasp sessions."""
 from __future__ import annotations
 
 import enum
@@ -46,21 +46,15 @@ class GraspObject:
         return COHORT_DIAMETER_MIN_CM <= self.diameter_cm <= COHORT_DIAMETER_MAX_CM
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One sample instant: a timestamp and five ADC counts in finger order."""
-
-    t_ms: int
-    adc: tuple[int, int, int, int, int]
-
-
 @dataclass
 class GraspSession:
-    """A recorded grasp: an object, a user, and an ordered frame sequence."""
+    """A recorded grasp: an object, a user, and an ordered frame sequence.
+    Each frame is its wire record as six ints, (t_ms, thumb, index, middle,
+    ring, pinky): a timestamp, then one ADC count per finger."""
 
     user_id: str
     obj: GraspObject
-    frames: list[Frame]
+    frames: list[tuple[int, int, int, int, int, int]]
     sample_period_ms: int = 50
 
 

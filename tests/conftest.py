@@ -12,18 +12,20 @@ def sensor():
     return fg.SensorConfig()
 
 
-@pytest.fixture(scope="session")
-def default_cohort(sensor):
+def simulate_default_cohort(seed, sensor):
     """The full default cohort: 11 sphere users x 11 diameters, 8 cylinder
-    users x 10 diameters, at the published seed (matches `flexglove simulate`
-    defaults)."""
-    sphere = fg.simulate_cohort(
-        default_objects(Shape.SPHERE), 11, PUBLISHED_SEED, sensor, user_prefix="s"
-    )
+    users x 10 diameters (matches `flexglove simulate --seed <seed>`)."""
+    sphere = fg.simulate_cohort(default_objects(Shape.SPHERE), 11, seed, sensor, user_prefix="s")
     cylinder = fg.simulate_cohort(
-        default_objects(Shape.CYLINDER), 8, PUBLISHED_SEED + 1, sensor, user_prefix="c"
+        default_objects(Shape.CYLINDER), 8, seed + 1, sensor, user_prefix="c"
     )
     return sphere + cylinder
+
+
+@pytest.fixture(scope="session")
+def default_cohort(sensor):
+    """The full default cohort at the published seed."""
+    return simulate_default_cohort(PUBLISHED_SEED, sensor)
 
 
 @pytest.fixture(scope="session")

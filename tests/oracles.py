@@ -88,11 +88,11 @@ def read_session_by_line(data):
     last_t = -1
     for i, line in enumerate(lines[5:], start=6):
         frame = parse_frame(line, line_no=i)
-        if frame.t_ms <= last_t:
+        if frame[0] <= last_t:
             raise OrderViolation(
-                f"timestamp {frame.t_ms} ms does not increase past {last_t} ms", line=i
+                f"timestamp {frame[0]} ms does not increase past {last_t} ms", line=i
             )
-        last_t = frame.t_ms
+        last_t = frame[0]
         frames.append(frame)
 
     return GraspSession(

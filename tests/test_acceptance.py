@@ -16,8 +16,8 @@ from flexglove.errors import ParseError
 from flexglove.session_io import format_session, parse_frame, read_session
 from flexglove.simulate import make_hand_profile
 from flexglove.stats import cohort_fits, linear_fit, min_max_normalize, sem
-from flexglove.types import FINGERS, Frame, GraspObject, GraspSession, Shape, default_objects
-from conftest import PUBLISHED_SEED
+from flexglove.types import FINGERS, GraspObject, GraspSession, Shape, default_objects
+from conftest import PUBLISHED_SEED, simulate_default_cohort
 from oracles import ols_oracle, sem_oracle
 
 
@@ -30,9 +30,9 @@ class TestCriterion1Sampling:
         expected_ts = list(range(0, 5000, 50))
         for session in default_cohort:
             assert len(session.frames) == 100
-            assert [f.t_ms for f in session.frames] == expected_ts
+            assert [f[0] for f in session.frames] == expected_ts
         ingested = read_session(format_session(default_cohort[0]))
-        assert [f.t_ms for f in ingested.frames] == expected_ts
+        assert [f[0] for f in ingested.frames] == expected_ts
         note(1, f"{len(default_cohort)} sessions x 100 frames at 0..4950 ms step 50")
 
 
@@ -117,10 +117,7 @@ class TestCriterion7Parser:
             n = rng.randint(0, 8)
             period = rng.randint(1, 200)
             frames = [
-                Frame(
-                    t_ms=i_ * period,
-                    adc=tuple(rng.randint(0, 1023) for _ in range(5)),
-                )
+                (i_ * period, *(rng.randint(0, 1023) for _ in range(5)))
                 for i_ in range(n)
             ]
             session = GraspSession(
@@ -147,7 +144,8 @@ class TestCriterion7Parser:
                 line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
             try:
                 frame = parse_frame(line)
-                assert isinstance(frame, Frame)
+                assert type(frame) is tuple and len(frame) == 6
+                assert all(type(v) is int for v in frame)
                 outcomes["frame"] += 1
             except ParseError:
                 outcomes["error"] += 1
@@ -155,9 +153,13 @@ class TestCriterion7Parser:
         note(7, f"2000 fuzzed lines -> {outcomes['frame']} frames, {outcomes['error']} named errors, 0 crashes")
 
 
+def fits_by_key(table):
+    return {(s, f, name): fit for s, f, name, fit, _ in cohort_fits(table)}
+
+
 @pytest.fixture(scope="module")
 def fits(default_table):
-    return {(s, f, name): fit for s, f, name, fit, _ in cohort_fits(default_table)}
+    return fits_by_key(default_table)
 
 
 class TestCriterion8DefaultCohortPatterns:
@@ -201,6 +203,35 @@ class TestCriterion8DefaultCohortPatterns:
              f" (exceptions: {misses or 'none'})")
 
 
+# The default profile table was tuned once at the published seed; criteria
+# 8a-8c and 8e holding at these seeds too shows that it was not seed-picked.
+SWEEP_SEEDS = [2001, 2007, 2013, 2019, 2023, 2029, 2033, 2039]
+
+
+@pytest.fixture(scope="module", params=SWEEP_SEEDS)
+def sweep_table(request, sensor):
+    return fg.build_cohort(simulate_default_cohort(request.param, sensor))
+
+
+class TestCriterion8AtOtherSeeds:
+    """The published seed's criterion 8 checks, run on the default cohort at
+    each of SWEEP_SEEDS."""
+
+    checks = TestCriterion8DefaultCohortPatterns()
+
+    def test_8a_ring_full_range_fit(self, sweep_table):
+        self.checks.test_8a_ring_full_range_fit(fits_by_key(sweep_table))
+
+    def test_8b_saturating_subrange_fits(self, sweep_table):
+        self.checks.test_8b_saturating_subrange_fits(fits_by_key(sweep_table))
+
+    def test_8c_all_full_range_fits(self, sweep_table):
+        self.checks.test_8c_all_full_range_fits(fits_by_key(sweep_table))
+
+    def test_8e_discriminability_with_at_most_one_exception(self, sweep_table):
+        self.checks.test_8e_discriminability_with_at_most_one_exception(sweep_table)
+
+
 class TestCriterion9Classifier:
     def test_heldout_accuracy(self, sensor, default_table):
         centroids = build_centroids(default_table)
@@ -222,3 +253,21 @@ class TestCriterion9Classifier:
         assert shape_acc >= 0.90
         assert diameter_acc >= 0.80
         note(9, f"{total} held-out sessions: shape accuracy {shape_acc:.3f}, diameter ±1 cm {diameter_acc:.3f}")
+
+
+class TestHeldOutUser:
+    def test_leave_one_user_out_at_published_seed(self, default_cohort):
+        """Each user's sessions classified against centroids built from the
+        other 18 users: the README's new-user caveat, measured."""
+        users = sorted({session.user_id for session in default_cohort})
+        assert len(users) == 19
+        exact = shape_hits = 0
+        for user in users:
+            table = fg.build_cohort(s for s in default_cohort if s.user_id != user)
+            centroids, context = build_centroids(table), scale_context(table)
+            for session in (s for s in default_cohort if s.user_id == user):
+                shape, diameter, _ = classify_session(session, centroids, context)
+                shape_hits += shape is session.obj.shape
+                exact += shape is session.obj.shape and diameter == session.obj.diameter_cm
+        assert (exact, shape_hits) == (200, 201)
+        note("held-out user", f"{exact}/201 exact, {shape_hits}/201 shape, each user left out once")

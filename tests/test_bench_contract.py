@@ -4,6 +4,8 @@ rename or deletion then fails here rather than in a benchmark run."""
 import sys
 from pathlib import Path
 
+from flexglove.cli import main
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import layers  # noqa: E402
@@ -16,3 +18,24 @@ def test_every_patch_point_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_frame_counters_count_frames(tmp_path):
+    """`simulate.frames`, `session_io.frames_written` and
+    `session_io.frames_read` each count one per frame line on disk."""
+    sessions = tmp_path / "sessions"
+    tracer = layers.Tracer()
+    with layers.installed(tracer):
+        assert main([
+            "simulate", "--out", str(sessions), "--users-sphere", "2", "--users-cylinder", "2",
+            "--diameters", "6,8,12",
+        ]) == 0
+        assert main(["analyze", str(sessions), "--out", str(tmp_path / "analysis")]) == 0
+    frame_lines = sum(
+        not line.startswith(b"#")
+        for path in sessions.glob("*.session")
+        for line in path.read_bytes().splitlines()
+    )
+    assert frame_lines == 1200
+    counters = ("simulate.frames", "session_io.frames_written", "session_io.frames_read")
+    assert {name: tracer.units[name] for name in counters} == dict.fromkeys(counters, frame_lines)

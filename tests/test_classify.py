@@ -4,7 +4,6 @@ import random
 import pytest
 
 from flexglove import (
-    Frame,
     GraspObject,
     GraspSession,
     PreconditionViolation,
@@ -101,7 +100,7 @@ class TestCentroids:
 
 
 def query_session(raw, shape=Shape.SPHERE, diameter=8.0, user="q"):
-    frames = [Frame(t_ms=i * 50, adc=raw) for i in range(100)]
+    frames = [(i * 50, *raw) for i in range(100)]
     return GraspSession(user_id=user, obj=GraspObject(shape, diameter), frames=frames)
 
 
@@ -203,3 +202,13 @@ class TestCentroidCsv:
 
         with pytest.raises(ArgumentError):
             centroids_from_csv("not,a,real,header\n")
+
+    @pytest.mark.parametrize("diameter", ["-6", "0", "-0.0"])
+    def test_non_positive_diameter_rejected(self, diameter):
+        from flexglove import ArgumentError
+
+        text = centroids_to_csv([Centroid(Shape.SPHERE, 6.0, (0.5,) * 5)], simple_context())
+        assert text.split("\n")[1].startswith("centroid,sphere,6,")
+        with pytest.raises(ArgumentError) as exc:
+            centroids_from_csv(text.replace("centroid,sphere,6,", f"centroid,sphere,{diameter},"))
+        assert str(exc.value) == f"centroid file line 2: diameter_cm must be positive, got '{diameter}'"

@@ -248,6 +248,8 @@ class TestClassify:
             ("centroid,sphere,6,", "centroid,sphere,six,", "could not convert string to float: 'six'"),
             ("raw_min,cylinder,,", "raw_min,cylinder,,x", "could not convert string to float: 'x"),
             ("raw_min,cylinder,,", "raw_mid,cylinder,,", "unknown centroid row kind 'raw_mid'"),
+            ("centroid,sphere,6,", "centroid,sphere,-6,", "diameter_cm must be positive, got '-6'"),
+            ("centroid,sphere,6,", "centroid,sphere,0,", "diameter_cm must be positive, got '0'"),
         ],
     )
     def test_bad_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys, old, new, message):

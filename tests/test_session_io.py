@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexglove import (
-    Frame,
     GraspObject,
     GraspSession,
     MalformedFrame,
@@ -15,7 +14,6 @@ from flexglove import (
     RangeViolation,
     SchemaError,
     Shape,
-    format_frame,
     format_session,
     parse_frame,
     read_session,
@@ -28,9 +26,7 @@ adc_values = st.integers(min_value=0, max_value=1023)
 
 
 def make_session(n_frames=3, diameter=8.0, user="u01", period=50):
-    frames = [
-        Frame(t_ms=i * period, adc=(10 + i, 20, 30, 40, 50)) for i in range(n_frames)
-    ]
+    frames = [(i * period, 10 + i, 20, 30, 40, 50) for i in range(n_frames)]
     return GraspSession(
         user_id=user,
         obj=GraspObject(Shape.SPHERE, diameter),
@@ -41,7 +37,7 @@ def make_session(n_frames=3, diameter=8.0, user="u01", period=50):
 
 class TestParseFrame:
     def test_basic(self):
-        assert parse_frame("0,512,512,512,512,512") == Frame(0, (512,) * 5)
+        assert parse_frame("0,512,512,512,512,512") == (0, 512, 512, 512, 512, 512)
 
     def test_five_fields_rejected(self):
         with pytest.raises(MalformedFrame):
@@ -61,12 +57,12 @@ class TestParseFrame:
 
     def test_timestamp_unbounded(self):
         frame = parse_frame("99999999,0,0,0,0,0")
-        assert frame.t_ms == 99999999
+        assert frame[0] == 99999999
 
     @given(st.integers(min_value=0, max_value=10**9), st.tuples(*[adc_values] * 5))
     def test_roundtrip(self, t, adc):
-        frame = Frame(t_ms=t, adc=adc)
-        assert parse_frame(format_frame(frame)) == frame
+        frame = (t, *adc)
+        assert parse_frame(",".join(map(str, frame))) == frame
 
     @given(st.text(max_size=40))
     def test_fuzz_yields_frame_or_named_error(self, line):
@@ -74,7 +70,8 @@ class TestParseFrame:
             result = parse_frame(line)
         except (MalformedFrame, RangeViolation):
             return
-        assert isinstance(result, Frame)
+        assert type(result) is tuple and len(result) == 6
+        assert all(type(v) is int for v in result)
 
 
 class TestParseErrorParity:
@@ -122,8 +119,8 @@ class TestParseErrorParity:
     @pytest.mark.parametrize(
         "line, frame",
         [
-            ("0099,0001023,0,0,0,0", Frame(99, (1023, 0, 0, 0, 0))),
-            ("1,2,3,4,5,6\n\n", Frame(1, (2, 3, 4, 5, 6))),
+            ("0099,0001023,0,0,0,0", (99, 1023, 0, 0, 0, 0)),
+            ("1,2,3,4,5,6\n\n", (1, 2, 3, 4, 5, 6)),
         ],
     )
     def test_leading_zeros_and_trailing_newlines_accepted(self, line, frame):
@@ -216,7 +213,7 @@ def sessions(draw):
     period = draw(st.integers(min_value=1, max_value=500))
     t0 = draw(st.integers(min_value=0, max_value=1000))
     frames = [
-        Frame(t_ms=t0 + i * period, adc=tuple(draw(st.tuples(*[adc_values] * 5))))
+        (t0 + i * period, *draw(st.tuples(*[adc_values] * 5)))
         for i in range(n)
     ]
     return GraspSession(

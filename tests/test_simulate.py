@@ -4,7 +4,6 @@ import pytest
 
 from flexglove import (
     ArgumentError,
-    Frame,
     GraspObject,
     HandProfile,
     SensorConfig,
@@ -81,13 +80,13 @@ class TestSession:
             GraspObject(Shape.SPHERE, 8.0), default_hand_profile(), SENSOR, seed=5
         )
         assert len(session.frames) == 100
-        assert [f.t_ms for f in session.frames] == list(range(0, 5000, 50))
+        assert [f[0] for f in session.frames] == list(range(0, 5000, 50))
 
     def test_zero_noise_makes_constant_frames(self):
         session = simulate_session(
             GraspObject(Shape.CYLINDER, 9.0), default_hand_profile(), QUIET, seed=5
         )
-        assert len({f.adc for f in session.frames}) == 1
+        assert len({f[1:] for f in session.frames}) == 1
 
     def test_noise_stays_within_amplitude(self):
         profile = default_hand_profile()
@@ -95,7 +94,7 @@ class TestSession:
         clean = [clean_finger_adc(obj, f, profile, SENSOR) for f in FINGERS]
         session = simulate_session(obj, profile, SENSOR, seed=11)
         for frame in session.frames:
-            assert all(abs(v - c) <= SENSOR.noise_amplitude for v, c in zip(frame.adc, clean))
+            assert all(abs(v - c) <= SENSOR.noise_amplitude for v, c in zip(frame[1:], clean))
 
     def test_same_seed_same_bytes(self):
         args = (GraspObject(Shape.SPHERE, 8.0), default_hand_profile(), SENSOR)
@@ -112,7 +111,7 @@ def per_draw_frames(obj, profile, sensor, seed, n_frames, period_ms=50):
     clean = [clean_finger_adc(obj, f, profile, sensor) for f in FINGERS]
     rng = random.Random(seed)
     return [
-        Frame(t_ms=i * period_ms, adc=tuple(sample_with_noise(c, rng, sensor) for c in clean))
+        (i * period_ms, *(sample_with_noise(c, rng, sensor) for c in clean))
         for i in range(n_frames)
     ]
 

@@ -9,7 +9,6 @@ from flexglove import (
     ArgumentError,
     DegenerateRange,
     FingerStats,
-    Frame,
     GraspObject,
     GraspSession,
     PreconditionViolation,
@@ -26,7 +25,7 @@ from oracles import ols_oracle, sem_oracle
 
 
 def constant_session(value, n=100, user="u01", shape=Shape.SPHERE, diameter=8.0):
-    frames = [Frame(t_ms=i * 50, adc=(value,) * 5) for i in range(n)]
+    frames = [(i * 50, *(value,) * 5) for i in range(n)]
     return GraspSession(user_id=user, obj=GraspObject(shape, diameter), frames=frames)
 
 
@@ -35,7 +34,7 @@ class TestSessionMean:
         assert session_means(constant_session(512)) == (512.0,) * 5
 
     def test_alternating(self):
-        frames = [Frame(t_ms=i * 50, adc=(500 if i % 2 else 502,) * 5) for i in range(100)]
+        frames = [(i * 50, *(500 if i % 2 else 502,) * 5) for i in range(100)]
         session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
         assert session_means(session) == (501.0,) * 5
 
@@ -45,14 +44,12 @@ class TestSessionMean:
 
     def test_all_fingers_in_one_pass_match_per_finger(self):
         rng = random.Random(5)
-        frames = [
-            Frame(t_ms=i * 50, adc=tuple(rng.randrange(1024) for _ in range(5))) for i in range(100)
-        ]
+        frames = [(i * 50, *(rng.randrange(1024) for _ in range(5))) for i in range(100)]
         session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
         means = session_means(session)
         assert len(means) == 5
         for i in range(5):
-            assert means[i] == math.fsum(f.adc[i] for f in frames) / 100
+            assert means[i] == math.fsum(f[1 + i] for f in frames) / 100
 
     @pytest.mark.parametrize("expected", [0, -3])
     def test_expected_frames_below_one_rejected(self, expected):
