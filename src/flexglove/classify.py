@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentError, PreconditionViolation, content_lines, finite_floats
 from .stats import CohortTable, intervals_overlap, session_means
-from .types import FINGERS, GraspSession, Shape
+from .types import FINGERS, SHAPE_BY_NAME, GraspSession, Shape
 
 # A new session has no diameter sweep of its own, so min-max normalization is
 # impossible per-user.  Classification instead reuses the training cohort's
@@ -180,9 +180,9 @@ def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
             raise ArgumentError(f"{where}: bad centroid row: {row}")
         kind, shape_name = row[0], row[1]
         try:
-            shape = Shape(shape_name)
-        except ValueError as exc:
-            raise ArgumentError(f"{where}: {exc}") from None
+            shape = SHAPE_BY_NAME[shape_name]
+        except KeyError:
+            raise ArgumentError(f"{where}: {shape_name!r} is not a valid Shape") from None
         if kind == "centroid":
             diameter_cm, *values = finite_floats(row[2:], _CENTROID_HEADER[2:], where)
             if not diameter_cm > 0:

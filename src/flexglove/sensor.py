@@ -29,6 +29,11 @@ SHALLOW_DROP_FRACTION = 0.48
 KNEE_RESIDUAL_FRACTION = 0.008
 TAIL_DECAY_CM = 0.3
 
+# The simulator takes each noise draw from one byte of the generator's output
+# (simulate._noise_draws); a byte holds the 2 * amplitude + 1 values of a draw
+# up to this amplitude.
+MAX_NOISE_AMPLITUDE = 127
+
 
 @dataclass(frozen=True)
 class CalibrationCurve:
@@ -82,9 +87,13 @@ class SensorConfig:
             raise ArgumentError(
                 f"adc_levels must be an integer in 2..{ADC_MAX + 1}, got {self.adc_levels}"
             )
-        if int(self.noise_amplitude) != self.noise_amplitude or self.noise_amplitude < 0:
+        if (
+            int(self.noise_amplitude) != self.noise_amplitude
+            or not 0 <= self.noise_amplitude <= MAX_NOISE_AMPLITUDE
+        ):
             raise ArgumentError(
-                f"noise_amplitude must be a non-negative integer, got {self.noise_amplitude}"
+                f"noise_amplitude must be an integer in 0..{MAX_NOISE_AMPLITUDE}, "
+                f"got {self.noise_amplitude}"
             )
 
 
@@ -136,7 +145,11 @@ def quantize(v: float, cfg: SensorConfig) -> int:
     """Convert a voltage to an integer count, clamped to the converter range."""
     if v < 0:
         raise DomainError(f"cannot quantize a negative voltage, got {v}")
-    return min(math.floor(v * cfg.adc_levels / cfg.vcc), cfg.adc_levels - 1)
+    # A config of extreme magnitudes can overflow the divider or this scaling.
+    scaled = v * cfg.adc_levels / cfg.vcc
+    if not math.isfinite(scaled):
+        raise DomainError(f"cannot quantize {v} V on a {cfg.vcc} V scale")
+    return min(math.floor(scaled), cfg.adc_levels - 1)
 
 
 def adc_to_voltage(adc: int, cfg: SensorConfig) -> float:

@@ -43,7 +43,7 @@ from .errors import (
     RangeViolation,
     SchemaError,
 )
-from .types import ADC_MAX, GraspObject, GraspSession, Shape
+from .types import ADC_MAX, SHAPE_BY_NAME, GraspObject, GraspSession
 
 SCHEMA_VERSION = 1
 
@@ -124,8 +124,8 @@ def read_session(data: bytes) -> GraspSession:
     if int(values["schema"]) != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {values['schema']}", line=1)
     try:
-        shape = Shape(values["shape"])
-    except ValueError:
+        shape = SHAPE_BY_NAME[values["shape"]]
+    except KeyError:
         raise MalformedHeader(f"unknown shape {values['shape']!r}", line=3) from None
     try:
         diameter = float(values["diameter_cm"])

@@ -8,6 +8,7 @@ bounded perturbations of the default table below.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -16,7 +17,7 @@ from .errors import ArgumentError, DomainError, content_lines, finite_floats, re
 # sample_with_noise is not called here but stays importable from this module:
 # bench/layers.py traces it under this name.
 from .sensor import SensorConfig, clean_adc_at_diameter, sample_with_noise  # noqa: F401
-from .types import FINGERS, GraspObject, GraspSession, Shape
+from .types import FINGERS, SHAPE_BY_NAME, GraspObject, GraspSession, Shape
 
 DEFAULT_FRAME_COUNT = 100
 DEFAULT_PERIOD_MS = 50
@@ -117,6 +118,33 @@ def clean_finger_adc(
     return clean_adc_at_diameter(finger_bend_diameter(obj, finger, profile, sensor), sensor)
 
 
+@functools.cache
+def _draw_tables(span: int) -> tuple[bytes, bytes]:
+    """The translate table from a top byte to its top k bits, and the rejected values."""
+    k = span.bit_length()
+    return bytes(b >> (8 - k) for b in range(256)), bytes(range(span, 1 << k))
+
+
+def _noise_draws(rng: random.Random, span: int, count: int) -> bytes:
+    """The next ``count`` values of randrange(span) from ``rng``, for span < 256.
+
+    getrandbits(32 * m) returns m 32-bit MT words least significant first, so
+    byte 3 of each little-endian 4-byte group is a word's top byte, which holds
+    the k = span.bit_length() bits randrange takes from a word while k <= 8.
+    """
+    top_bits, rejected = _draw_tables(span)
+    k = span.bit_length()
+    draws = b""
+    while len(draws) < count:
+        # An eighth more words than the draws still owed need on average,
+        # so a second pass is rare; any surplus is never used.
+        words = ((count - len(draws)) << k) // span * 9 // 8 + 1
+        top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        # Two calls: translate(table, delete) would delete on the input bytes.
+        draws += top_bytes.translate(top_bits).translate(None, rejected)
+    return draws
+
+
 def simulate_session(
     obj: GraspObject,
     profile: HandProfile,
@@ -138,14 +166,17 @@ def simulate_session(
     if amp == 0:
         frames = [(t, *clean) for t in stamps]
     else:
-        # randrange(2*amp + 1) - amp consumes the generator exactly as
-        # sample_with_noise's randint(-amp, amp) does, so drawing a whole
-        # session here, frame by frame in finger order, gives the same stream.
-        draw, span = random.Random(seed).randrange, 2 * amp + 1
-        noisy = iter(
-            [max(0, min(c + draw(span) - amp, top)) for _ in range(n_frames) for c in clean]
-        )
-        frames = list(zip(stamps, *[noisy] * len(FINGERS)))
+        # The noise stream every simulated file rests on: one Random(seed) per
+        # session; a run of 32-bit MT words, the top k = span.bit_length()
+        # bits of each a draw, values >= span rejected, exactly as randrange
+        # and sample_with_noise consume them; frame-major, finger-minor.
+        draws = _noise_draws(random.Random(seed), 2 * amp + 1, n_frames * len(FINGERS))
+        columns = []
+        for j, c in enumerate(clean):
+            # Draw r is the count c + r - amp, clamped to the converter range.
+            noisy = [max(0, min(v, top)) for v in range(c - amp, c + amp + 1)]
+            columns.append(map(noisy.__getitem__, draws[j::len(FINGERS)]))
+        frames = list(zip(stamps, *columns))
     return GraspSession(
         user_id=profile.user_id, obj=obj, frames=frames, sample_period_ms=DEFAULT_PERIOD_MS
     )
@@ -196,9 +227,9 @@ def parse_profile_table(text: str) -> dict[tuple[str, Shape], FingerProfile]:
         if finger not in FINGERS:
             raise ArgumentError(f"{where}: unknown finger {finger!r}")
         try:
-            shape = Shape(shape_name)
-        except ValueError as exc:
-            raise ArgumentError(f"{where}: {exc}") from None
+            shape = SHAPE_BY_NAME[shape_name]
+        except KeyError:
+            raise ArgumentError(f"{where}: {shape_name!r} is not a valid Shape") from None
         profile = FingerProfile(*finite_floats(parts[2:], FingerProfile._fields, where))
         for name, spread in zip(FingerProfile._fields[2:], profile[2:]):
             if spread < 0:

@@ -26,6 +26,11 @@ class Shape(str, enum.Enum):
     CYLINDER = "cylinder"
 
 
+# Each shape by its name in files: a dict lookup, where Shape(name) goes
+# through the Enum machinery at about half a microsecond a call.
+SHAPE_BY_NAME: dict[str, Shape] = {shape.value: shape for shape in Shape}
+
+
 @dataclass(frozen=True)
 class GraspObject:
     """A graspable test object: a sphere or cylinder of known diameter."""

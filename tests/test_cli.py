@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexglove.cli import main
 from flexglove.sensor import SensorConfig, format_config
@@ -147,6 +150,39 @@ class TestSimulate:
         assert run("simulate", "--out", out, "--config", config, "--diameters", "6,8") == 2
         assert "ArgumentError: adc_levels must be an integer in 2..1024, got 4096" in capsys.readouterr().err
         assert not list(out.glob("*.session"))
+
+    def test_noise_amplitude_over_limit_is_argument_error(self, tmp_path, capsys):
+        config = tmp_path / "loud.cfg"
+        config.write_text("noise_amplitude = 128\n")
+        out = tmp_path / "s"
+        assert run("simulate", "--out", out, "--config", config, "--diameters", "6,8") == 2
+        err = capsys.readouterr().err
+        assert "ArgumentError: noise_amplitude must be an integer in 0..127, got 128" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.session"))
+
+    def test_largest_noise_amplitude_writes_files_analyze_reads(self, tmp_path):
+        # A flat resistance far below r_fixed and a tight one far above put
+        # the clean counts near both ends of the converter, so noise of
+        # +-127 counts is clamped at 0 and at 1023.
+        config = tmp_path / "loud.cfg"
+        config.write_text(
+            "r_flat = 100\nr_min_diam = 10000000\nr_fixed = 10000\nnoise_amplitude = 127\n"
+        )
+        sessions = tmp_path / "s"
+        assert run(
+            "simulate", "--out", sessions, "--config", config,
+            "--users-sphere", "2", "--users-cylinder", "2", "--diameters", "6,16",
+        ) == 0
+        counts = {
+            int(field)
+            for path in sessions.glob("*.session")
+            for line in path.read_text().splitlines()
+            if not line.startswith("#")
+            for field in line.split(",")[1:]
+        }
+        assert {0, 1023} <= counts
+        assert run("analyze", sessions, "--out", tmp_path / "a") == 0
 
 
 class TestAnalyze:
@@ -406,6 +442,53 @@ class TestTextInputs:
         assert run_with(path) == 2
         err = capsys.readouterr().err
         assert "ArgumentError" in err and "Traceback" not in err
+
+
+# Replacement values for the config fuzz: the integer and amplitude limits,
+# spellings the finite-number rule rejects, and magnitudes that overflow.
+CONFIG_TOKENS = [
+    "0", "1", "127", "128", "-1", "2.5", "1e3", "1e307", "1e308", "5e-324",
+    "nan", "inf", "-Infinity", "0x10", "x", "", "=",
+]
+
+
+class TestConfigFuzz:
+    """characterize --config on mutations of a known-good config file exits
+    with a code from the contract and never prints a traceback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["value", "delete", "insert"]),
+                st.integers(min_value=0, max_value=9),
+                st.one_of(
+                    st.sampled_from(CONFIG_TOKENS),
+                    st.text(st.characters(max_codepoint=255), max_size=12),
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_mutated_config_exits_by_contract(self, tmp_path_factory, edits):
+        lines = format_config(SensorConfig()).splitlines()
+        for kind, index, text in edits:
+            i = index % (len(lines) + 1)
+            if kind == "value" and i < len(lines):
+                lines[i] = f"{lines[i].partition('=')[0]}= {text}"
+            elif kind == "delete" and i < len(lines):
+                del lines[i]
+            else:
+                lines.insert(i, text)
+        work = tmp_path_factory.mktemp("fuzz")
+        config = work / "mutated.cfg"
+        config.write_bytes("\n".join(lines).encode("latin-1"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("characterize", "--out", work / "out", "--config", config)
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestExitCodes:

@@ -99,6 +99,19 @@ class TestQuantize:
         with pytest.raises(DomainError):
             quantize(-0.1, CFG)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # vcc * adc_levels overflows.
+            SensorConfig(vcc=1e307, r_fixed=1e-3),
+            # r_fixed + r_flex and vcc * r_fixed overflow, so the node voltage is nan.
+            SensorConfig(r_fixed=1e308, curve=CalibrationCurve(r_min_diam=1.7e308)),
+        ],
+    )
+    def test_overflowing_config_raises(self, cfg):
+        with pytest.raises(DomainError, match="cannot quantize"):
+            clean_adc_at_diameter(6.0, cfg)
+
     @given(st.floats(min_value=0.0, max_value=4.9999))
     def test_roundtrip_bracket(self, v):
         adc = quantize(v, CFG)
@@ -212,6 +225,14 @@ class TestConfigFile:
             SensorConfig(adc_levels=levels)
         with pytest.raises(ArgumentError, match=r"adc_levels must be an integer in 2\.\.1024"):
             parse_config(f"adc_levels = {levels}\n")
+
+    def test_noise_amplitude_limit(self):
+        from flexglove import ArgumentError
+
+        assert parse_config("noise_amplitude = 127\n").noise_amplitude == 127
+        with pytest.raises(ArgumentError) as exc:
+            parse_config("noise_amplitude = 128\n")
+        assert str(exc.value) == "noise_amplitude must be an integer in 0..127, got 128"
 
     def test_validation_still_applies(self):
         from flexglove import ArgumentError

@@ -17,6 +17,7 @@ from flexglove import (
 )
 from flexglove.simulate import (
     DEFAULT_PROFILE_TABLE,
+    _noise_draws,
     clean_finger_adc,
     default_hand_profile,
     format_profile_table,
@@ -116,15 +117,27 @@ def per_draw_frames(obj, profile, sensor, seed, n_frames, period_ms=50):
     ]
 
 
+class CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
 class TestNoiseStream:
-    # r_fixed far below / far above the sensor's resistance pins every clean
-    # count to the converter's top / bottom, so the clamp is exercised.
-    @pytest.mark.parametrize("amplitude", [0, 1, 3])
+    # Amplitudes 1, 2, 3 and 127 give spans 3, 5, 7 and 255, drawn from the
+    # top 2, 3, 3 and 8 bits of a word; 0 draws nothing.  r_fixed far below /
+    # far above the sensor's resistance pins every clean count to the
+    # converter's top / bottom, so the clamp is exercised.
+    @pytest.mark.parametrize("amplitude", [0, 1, 2, 3, 127])
     @pytest.mark.parametrize(
         "r_fixed, adc_levels, clean_count",
         [(47_000.0, 1024, None), (1e-3, 1024, 1023), (1e12, 1024, 0), (1e-3, 256, 255)],
     )
-    @pytest.mark.parametrize("n_frames", [0, 4])
+    @pytest.mark.parametrize("n_frames", [0, 1, 4, 100])
     def test_session_equals_per_draw_replay(self, amplitude, r_fixed, adc_levels, clean_count, n_frames):
         sensor = SensorConfig(r_fixed=r_fixed, adc_levels=adc_levels, noise_amplitude=amplitude)
         obj, profile = GraspObject(Shape.CYLINDER, 7.0), default_hand_profile()
@@ -133,6 +146,15 @@ class TestNoiseStream:
         for seed in (0, 2020, 987654321):
             session = simulate_session(obj, profile, sensor, seed, n_frames=n_frames)
             assert session.frames == per_draw_frames(obj, profile, sensor, seed, n_frames)
+
+    def test_short_first_draw_is_topped_up(self):
+        # At seed 0, the seven words drawn for one frame at amplitude 1 hold
+        # fewer than five values below 3, so a second getrandbits call follows;
+        # the (amplitude 1, one frame, seed 0) session above takes this path.
+        rng, reference = CountingRandom(0), random.Random(0)
+        draws = _noise_draws(rng, 3, 5)
+        assert rng.calls > 1
+        assert list(draws[:5]) == [reference.randrange(3) for _ in range(5)]
 
 
 class TestCohort:
