@@ -198,7 +198,12 @@ def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
     }
     if not centroids:
         raise ArgumentError("centroid file holds no centroids")
-    missing = [k for k in {(c.shape, f) for c in centroids for f in FINGERS} if k not in context]
+    missing = [
+        (shape, f)
+        for shape in {c.shape for c in centroids}
+        for f in FINGERS
+        if (shape, f) not in context
+    ]
     if missing:
         raise ArgumentError(f"centroid file lacks raw scale for {sorted(missing)[0]}")
     return centroids, context

@@ -142,10 +142,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     session_dir = Path(args.sessions)
-    paths = sorted(session_dir.glob("*.session"))
+    # key=str: within one directory the same order as sorting the paths, at a
+    # fraction of the cost of Path's comparisons.
+    paths = sorted(session_dir.glob("*.session"), key=str)
     if not paths:
         raise ArgumentError(f"no .session files in {session_dir}")
-    sessions = [read_session_file(p) for p in paths]
+    sessions = []
+    try:
+        for path in paths:
+            sessions.append(read_session_file(path))
+    except ParseError as exc:
+        exc.args = (f"{path.name}: {exc}",)
+        raise
     out = _out_dir(args)
 
     table = build_cohort(sessions, expected_frames=args.expected_frames)

@@ -159,12 +159,14 @@ def _read_frames(block: str) -> list[tuple[int, ...]]:
         fields.pop()  # the empty field after the final newline
         try:
             stamps = list(map(int, fields[0::6]))
-            counts = [list(map(_COUNT_BY_TEXT.__getitem__, fields[k::6])) for k in range(1, 6)]
+            del fields[0::6]
+            counts = iter(list(map(_COUNT_BY_TEXT.__getitem__, fields)))
         except (KeyError, ValueError):
             pass
         else:
             if all(map(operator.lt, stamps, stamps[1:])):
-                return list(zip(stamps, *counts))
+                # One iterator five times over: each frame takes the next five counts.
+                return list(zip(stamps, counts, counts, counts, counts, counts))
     frames = []
     last_t = -1
     # block is empty or ends in \n, so the last item of the split is "".
@@ -194,7 +196,7 @@ def format_session(session: GraspSession) -> bytes:
         f"# diameter_cm={session.obj.diameter_cm!r}\n",
         f"# period_ms={session.sample_period_ms}\n",
     ]
-    parts.extend(f"{t},{a},{b},{c},{d},{e}\n" for t, a, b, c, d, e in session.frames)
+    parts.extend(map("%d,%d,%d,%d,%d,%d\n".__mod__, session.frames))
     return "".join(parts).encode("ascii")
 
 

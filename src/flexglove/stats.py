@@ -9,6 +9,7 @@ finger) cell carries a mean, an SEM and the contributing values.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -104,11 +105,43 @@ def min_max_normalize(values: Mapping[float, float]) -> dict[float, float]:
     return {d: (v - lo) / span for d, v in values.items()}
 
 
+# _sqrt_of_frac scales num/den to at least 2**108, so the integer root holds
+# at least 55 bits: two more than a double's 53, which is what rounding to odd
+# needs for the final rounding to a float to give the correctly rounded root.
+_SQRT_BITS = 109
+
+
+def _sqrt_of_frac(num: int, den: int) -> float:
+    """The square root of num/den (num >= 0, den > 0), correctly rounded."""
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd: an inexact root is odd
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def sem(values: Sequence[float]) -> float:
-    """Standard error of the mean, sample (n-1) standard deviation over sqrt(n)."""
-    if len(values) < 2:
-        raise PreconditionViolation(f"SEM needs n >= 2, got {len(values)}")
-    return statistics.stdev(values) / math.sqrt(len(values))
+    """Standard error of the mean: the sample (n-1) standard deviation over
+    sqrt(n), for n >= 2 finite values.
+
+    The standard deviation is the exact one, correctly rounded: the same
+    float as statistics.stdev(values), so the result is the same float as
+    statistics.stdev(values) / math.sqrt(n).  Each value is an integer over a
+    power of two, so over the largest denominator d the sums of x and x*x
+    are exact ints.
+    """
+    n = len(values)
+    if n < 2:
+        raise PreconditionViolation(f"SEM needs n >= 2, got {n}")
+    ratios = [x.as_integer_ratio() for x in values]
+    d = max([b for _, b in ratios])
+    xs = [a * d // b for a, b in ratios]
+    sx = sum(xs)
+    sxx = sum(map(operator.mul, xs, xs))
+    return _sqrt_of_frac(n * sxx - sx * sx, n * (n - 1) * d * d) / math.sqrt(n)
 
 
 def collate(per_user: Mapping[str, Mapping[CellKey, float]]) -> CohortTable:

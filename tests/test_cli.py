@@ -4,10 +4,12 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from flexglove.classify import build_centroids, centroids_to_csv, scale_context
 from flexglove.cli import main
 from flexglove.sensor import SensorConfig, format_config
+from flexglove.session_io import write_session_file
 from flexglove.simulate import DEFAULT_PROFILE_TABLE, format_profile_table
 
 
@@ -234,7 +236,21 @@ class TestAnalyze:
         )
         assert run("analyze", small_cohort_dir, "--out", tmp_path / "a") == 3
         err = capsys.readouterr().err
-        assert "MalformedFrame: line 6: field of 5000 digits exceeds" in err
+        assert "MalformedFrame: long.session: line 6: field of 5000 digits exceeds" in err
+        assert "Traceback" not in err
+        bad.unlink()
+
+    def test_parse_error_names_the_file(self, small_cohort_dir, tmp_path, capsys):
+        # One bad file among the cohort's 18: the error says which one.
+        good = sorted(small_cohort_dir.glob("*.session"))[4]
+        lines = good.read_text().split("\n")
+        lines[7] = ",".join(lines[7].split(",")[:3])
+        bad = small_cohort_dir / "sphere_8cm_s99.session"
+        bad.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run("analyze", small_cohort_dir, "--out", tmp_path / "a") == 3
+        err = capsys.readouterr().err
+        assert "MalformedFrame: sphere_8cm_s99.session: line 8: expected 6 fields, got 3\n" in err
         assert "Traceback" not in err
         bad.unlink()
 
@@ -256,7 +272,7 @@ class TestAnalyze:
         bad = small_cohort_dir / "inf.session"
         bad.write_bytes(b"# schema=1\n# user=x\n# shape=sphere\n# diameter_cm=inf\n# period_ms=50\n")
         assert run("analyze", small_cohort_dir, "--out", tmp_path / "a") == 3
-        assert "MalformedHeader: line 4: diameter must be finite" in capsys.readouterr().err
+        assert "MalformedHeader: inf.session: line 4: diameter must be finite" in capsys.readouterr().err
         bad.unlink()
 
 
@@ -347,6 +363,19 @@ class TestClassify:
         assert run("classify", session, doubled) == 0
         out, err = capsys.readouterr()
         assert out == reference
+        assert "Traceback" not in err
+
+    def test_centroid_file_without_raw_scale_is_argument_error(self, small_cohort_dir, tmp_path, capsys):
+        analysis = tmp_path / "analysis"
+        assert run("analyze", small_cohort_dir, "--out", analysis) == 0
+        text = (analysis / "centroids.csv").read_text()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line for line in text.splitlines(True) if not line.startswith("raw_max,cylinder,")))
+        session = sorted(small_cohort_dir.glob("*.session"))[0]
+        capsys.readouterr()
+        assert run("classify", session, bad) == 2
+        err = capsys.readouterr().err
+        assert "ArgumentError: centroid file lacks raw scale for (<Shape.CYLINDER: 'cylinder'>, 'index')\n" in err
         assert "Traceback" not in err
 
     def test_non_ascii_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys):
@@ -487,6 +516,69 @@ class TestConfigFuzz:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run("characterize", "--out", work / "out", "--config", config)
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
+
+
+# Replacement fields for the centroid fuzz: extreme magnitudes of both signs,
+# spellings the finite-number rule rejects, and the file's own keywords.
+CENTROID_TOKENS = [
+    "0", "-0", "1", "-1", "1e308", "-1e308", "1.7976931348623157e308", "5e-324",
+    "-5e-324", "1e-300", "nan", "inf", "", "x", "sphere", "cylinder", "centroid",
+    "raw_min", "raw_max",
+]
+
+
+class TestClassifyFuzz:
+    """classify on mutations of the seed-2020 centroid file exits with a code
+    from the contract and never prints a traceback."""
+
+    @pytest.fixture(scope="class")
+    def published(self, default_table, default_cohort, tmp_path_factory):
+        """The seed-2020 centroid file's lines and one session file to classify."""
+        session = tmp_path_factory.mktemp("published") / "query.session"
+        write_session_file(default_cohort[0], session)
+        text = centroids_to_csv(build_centroids(default_table), scale_context(default_table))
+        return text.splitlines(), session
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["value", "value", "delete", "insert"]),
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=0, max_value=7),
+                st.one_of(
+                    st.sampled_from(CENTROID_TOKENS),
+                    st.text(st.characters(max_codepoint=255), max_size=12),
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # raw_min and raw_max of the first shape, thumb: hi - lo overflows to inf.
+    @example([("value", 22, 3, "-1.7976931348623157e308"), ("value", 23, 3, "1.7976931348623157e308")])
+    # The same row's two extremes swapped, and a centroid at both extremes.
+    @example([("value", 22, 3, "1e308"), ("value", 23, 3, "-1e308"), ("value", 1, 2, "5e-324"), ("value", 1, 3, "1e308")])
+    def test_mutated_centroid_file_exits_by_contract(self, published, tmp_path_factory, edits):
+        lines, session = published
+        lines = list(lines)
+        for kind, index, column, text in edits:
+            i = index % (len(lines) + 1)
+            if kind == "value" and i < len(lines):
+                row = lines[i].split(",")
+                row[column % len(row)] = text
+                lines[i] = ",".join(row)
+            elif kind == "delete" and i < len(lines):
+                del lines[i]
+            else:
+                lines.insert(i, text)
+        centroids = tmp_path_factory.mktemp("fuzz") / "mutated.csv"
+        centroids.write_bytes("\n".join(lines).encode("latin-1"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("classify", session, centroids)
         assert code in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
 

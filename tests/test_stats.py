@@ -1,9 +1,11 @@
 import math
+import operator
 import random
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flexglove import (
     ArgumentError,
@@ -99,6 +101,23 @@ class TestMinMaxNormalize:
         assert min_max_normalize(values) == min_max_normalize(transformed)
 
 
+# Finite floats scaled by 2**k, k in -300..300, one k per value.
+_SCALED_FLOATS = st.builds(
+    math.ldexp,
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.integers(min_value=-300, max_value=300),
+)
+
+# SEM inputs, n = 2..50: scaled floats, the ints characterize passes,
+# one value repeated, and a few values drawn again and again.
+SEM_SAMPLES = st.one_of(
+    st.lists(_SCALED_FLOATS, min_size=2, max_size=50),
+    st.lists(st.integers(min_value=0, max_value=1023), min_size=2, max_size=50),
+    st.builds(operator.mul, st.lists(_SCALED_FLOATS, min_size=1, max_size=1), st.integers(2, 50)),
+    st.lists(st.sampled_from([0.1, 0.2, 0.7, 1e-300, 3.0, 1023]), min_size=2, max_size=50),
+)
+
+
 class TestSem:
     def test_zero_variance(self):
         assert sem([0.5, 0.5, 0.5]) == 0.0
@@ -120,6 +139,21 @@ class TestSem:
         for _ in range(300):
             values = [rng.uniform(-50, 50) for _ in range(rng.randint(2, 12))]
             assert sem(values) == pytest.approx(sem_oracle(values), abs=1e-9)
+
+    def test_exact_where_a_float_two_pass_is_not(self):
+        # fsum of the squared deviations from an fsum mean is off by one bit
+        # here, as on about one in seven uniform samples of 2 to 50 values:
+        # only exact sums match.
+        values = [0.1, 0.2, 0.7]
+        mean = math.fsum(values) / 3
+        two_pass = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / 2) / math.sqrt(3)
+        assert sem(values) == statistics.stdev(values) / math.sqrt(3) == 0.1855921454276674
+        assert two_pass != sem(values)
+
+    @settings(max_examples=300)
+    @given(SEM_SAMPLES)
+    def test_bit_identical_to_statistics_stdev(self, values):
+        assert sem(values) == statistics.stdev(values) / math.sqrt(len(values))
 
     def test_matches_oracle_tightly_on_unit_scale(self):
         # normalized values live in [0, 1], where the two computations must
