@@ -8,7 +8,10 @@ normalized finger means and assigns new sessions to the nearest centroid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from typing import NamedTuple
 
 from .errors import ArgumentError, PreconditionViolation, content_lines, finite_floats
 from .stats import CohortTable, intervals_overlap, session_means
@@ -20,8 +23,7 @@ from .types import FINGERS, SHAPE_BY_NAME, GraspSession, Shape
 ScaleContext = dict[tuple[Shape, str], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class Centroid:
+class Centroid(NamedTuple):
     shape: Shape
     diameter_cm: float
     vector: tuple[float, float, float, float, float]
@@ -127,16 +129,20 @@ def classify_session(
         raise PreconditionViolation("no centroids to classify against")
     raw_means = dict(zip(FINGERS, session_means(session, expected_frames)))
 
-    queries = {
-        shape: _normalize_query(raw_means, shape, context)
-        for shape in dict.fromkeys(c.shape for c in centroids)
-    }
-
-    def rank(c: Centroid) -> tuple[float, float, bool]:
-        return math.dist(queries[c.shape], c.vector), c.diameter_cm, c.shape is not Shape.SPHERE
-
-    winner = min(centroids, key=rank)
-    return winner.shape, winner.diameter_cm, rank(winner)[0]
+    shapes, diameters, vectors = zip(*centroids)
+    queries = {shape: _normalize_query(raw_means, shape, context) for shape in dict.fromkeys(shapes)}
+    # One (distance, diameter, is not sphere, shape) tuple per centroid, built
+    # by C-level maps.  Tuples that tie on the first three items are of one
+    # shape, so min never compares past them.
+    distance, diameter, _, shape = min(
+        zip(
+            map(math.dist, map(queries.__getitem__, shapes), vectors),
+            diameters,
+            map(operator.is_not, shapes, repeat(Shape.SPHERE)),
+            shapes,
+        )
+    )
+    return shape, diameter, distance
 
 
 # --- centroid file support ----------------------------------------------------
@@ -165,7 +171,54 @@ def centroids_to_csv(centroids: list[Centroid], context: ScaleContext) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+_ROW_KINDS = {"centroid", "raw_min", "raw_max"}
+
+
 def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
+    """The centroids and raw scale context of a centroid file.
+
+    A file whose every row is sound is read in bulk, by _read_rows; any other
+    goes to _centroids_by_row, which raises the error, with its line number,
+    of the first faulty row."""
+    lines = content_lines(text)
+    _, header = next(lines, (0, ""))
+    if header.split(",") == _CENTROID_HEADER:
+        read = _read_rows([line.split(",") for _, line in lines])
+        if read is not None:
+            return read[0], _checked_context(*read)
+    return _centroids_by_row(text)
+
+
+def _read_rows(rows: list[list[str]]) -> tuple[list[Centroid], dict, dict] | None:
+    """The centroids, raw minima and raw maxima of a centroid file's rows, in
+    a few passes over all of them, or None when any row is faulty."""
+    if {*map(len, rows)} != {len(_CENTROID_HEADER)}:
+        return None
+    kinds, names, diameters, *fingers = zip(*rows)
+    if not (_ROW_KINDS.issuperset(kinds) and SHAPE_BY_NAME.keys() >= {*names}):
+        return None
+    is_centroid = list(map("centroid".__eq__, kinds))
+    n = sum(is_centroid)
+    # A centroid row's numbers start at diameter_cm; a raw row's start at the
+    # thumb.  So numbers holds the n diameters, then one column per finger.
+    try:
+        numbers = list(map(float, chain(compress(diameters, is_centroid), *fingers)))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, numbers)) or min(numbers[:n], default=1.0) <= 0:
+        return None
+    vectors = list(zip(*(numbers[i : i + len(rows)] for i in range(n, len(numbers), len(rows)))))
+    shapes = list(map(SHAPE_BY_NAME.__getitem__, names))
+    centroids = list(map(Centroid, compress(shapes, is_centroid), numbers[:n], compress(vectors, is_centroid)))
+    scales: dict[str, dict[tuple[Shape, str], float]] = {"raw_min": {}, "raw_max": {}}
+    for kind, shape, vector in zip(kinds, shapes, vectors):
+        if kind != "centroid":
+            scales[kind].update(zip([(shape, f) for f in FINGERS], vector))
+    return centroids, scales["raw_min"], scales["raw_max"]
+
+
+def _centroids_by_row(text: str) -> tuple[list[Centroid], ScaleContext]:
+    """centroids_from_csv one row at a time, raising at the first faulty row."""
     lines = content_lines(text)
     _, header = next(lines, (0, ""))
     if header.split(",") != _CENTROID_HEADER:
@@ -193,6 +246,15 @@ def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
             scale.update(zip([(shape, f) for f in FINGERS], finite_floats(row[3:], FINGERS, where)))
         else:
             raise ArgumentError(f"{where}: unknown centroid row kind {kind!r}")
+    return centroids, _checked_context(centroids, lows, highs)
+
+
+def _checked_context(
+    centroids: list[Centroid],
+    lows: dict[tuple[Shape, str], float],
+    highs: dict[tuple[Shape, str], float],
+) -> ScaleContext:
+    """The scale context of a centroid file's rows, once every row is sound."""
     context: ScaleContext = {
         key: (lows[key], highs[key]) for key in lows if key in highs
     }
@@ -206,4 +268,12 @@ def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
     ]
     if missing:
         raise ArgumentError(f"centroid file lacks raw scale for {sorted(missing)[0]}")
-    return centroids, context
+    # An inverted, flat or overflowing span would normalize every query to
+    # garbage that still classifies.
+    for (shape, finger), (lo, hi) in context.items():
+        if not 0 < hi - lo < math.inf:
+            raise ArgumentError(
+                f"centroid file raw scale for ({shape.value}, {finger}): raw_max - raw_min "
+                f"must be positive and finite, got raw_min={lo!r} raw_max={hi!r}"
+            )
+    return context

@@ -121,7 +121,8 @@ def read_session(data: bytes) -> GraspSession:
     }
     if not _is_decimal(values["schema"]):
         raise MalformedHeader(f"schema {values['schema']!r} is not an integer", line=1)
-    if int(values["schema"]) != SCHEMA_VERSION:
+    # Compared as text: int() refuses a number over its digit limit.
+    if values["schema"].lstrip("0") != str(SCHEMA_VERSION):
         raise SchemaError(f"unsupported schema version {values['schema']}", line=1)
     try:
         shape = SHAPE_BY_NAME[values["shape"]]
@@ -137,12 +138,20 @@ def read_session(data: bytes) -> GraspSession:
         raise MalformedHeader(f"diameter must be finite, got {diameter}", line=4)
     if not _is_decimal(values["period_ms"]):
         raise MalformedHeader(f"period {values['period_ms']!r} is not an integer", line=5)
+    try:
+        period_ms = int(values["period_ms"])
+    except ValueError:
+        raise MalformedHeader(
+            f"period of {len(values['period_ms'])} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit conversion limit",
+            line=5,
+        ) from None
 
     return GraspSession(
         user_id=values["user"],
         obj=GraspObject(shape, diameter),
         frames=_read_frames(block),
-        sample_period_ms=int(values["period_ms"]),
+        sample_period_ms=period_ms,
     )
 
 

@@ -6,7 +6,8 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flexglove.classify import build_centroids, centroids_to_csv, scale_context
+from flexglove import classify
+from flexglove.classify import _centroids_by_row, build_centroids, centroids_from_csv, centroids_to_csv, scale_context
 from flexglove.cli import main
 from flexglove.sensor import SensorConfig, format_config
 from flexglove.session_io import write_session_file
@@ -39,6 +40,16 @@ def small_cohort_dir(tmp_path):
         "--diameters", "6,8,10",
     ) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def published(default_table, default_cohort, tmp_path_factory):
+    """A seed-2020 session file and the seed-2020 centroid file."""
+    work = tmp_path_factory.mktemp("published")
+    write_session_file(default_cohort[0], work / "query.session")
+    centroids = centroids_to_csv(build_centroids(default_table), scale_context(default_table))
+    (work / "centroids.csv").write_text(centroids)
+    return work / "query.session", work / "centroids.csv"
 
 
 class TestCharacterize:
@@ -276,6 +287,18 @@ class TestAnalyze:
         bad.unlink()
 
 
+def swap_sphere_extremes(lines):
+    """Centroid file lines with the raw_min,sphere and raw_max,sphere labels swapped."""
+    swap = {"raw_min,sphere,": "raw_max,sphere,", "raw_max,sphere,": "raw_min,sphere,"}
+    return [swap.get(line[:15], line[:15]) + line[15:] for line in lines]
+
+
+def flatten_sphere_scale(lines):
+    """Centroid file lines with raw_max,sphere set to the raw_min,sphere values."""
+    low = next(line for line in lines if line.startswith("raw_min,sphere,"))
+    return [low.replace("raw_min", "raw_max") if line.startswith("raw_max,sphere,") else line for line in lines]
+
+
 class TestClassify:
     def test_verdict_line(self, small_cohort_dir, tmp_path, capsys):
         analysis = tmp_path / "analysis"
@@ -378,6 +401,26 @@ class TestClassify:
         assert "ArgumentError: centroid file lacks raw scale for (<Shape.CYLINDER: 'cylinder'>, 'index')\n" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (swap_sphere_extremes, "(sphere, thumb)"),
+            (flatten_sphere_scale, "(sphere, thumb)"),
+            (lambda lines: apply_edits(lines, OVERFLOWING_SPAN), "(cylinder, thumb)"),
+        ],
+        ids=["swapped", "flat", "overflowing"],
+    )
+    def test_unusable_raw_scale_is_argument_error(self, published, tmp_path, edit, key):
+        # Swapped, the sphere scale classified sphere_6cm_s01 as 16 cm with exit 0.
+        session, centroids = published
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line + "\n" for line in edit(centroids.read_text().splitlines())))
+        code, err = run_quietly("classify", session, bad)
+        assert code == 2
+        assert err.startswith(
+            f"ArgumentError: centroid file raw scale for {key}: raw_max - raw_min must be positive and finite, got "
+        )
+
     def test_non_ascii_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes("kind,shape,diameter_cm,thumb,index,middle,ring,pinky\ncentroid,sph\u00e9re\n".encode())
@@ -473,6 +516,52 @@ class TestTextInputs:
         assert "ArgumentError" in err and "Traceback" not in err
 
 
+def apply_edits(lines, edits):
+    """``lines`` after each edit ``(kind, index, column, text)`` in turn.  A
+    "value" edit sets what follows the line's last "=", or else its comma
+    field ``column``; "delete" drops the line; "insert", or an index past the
+    last line, inserts ``text`` as a line."""
+    lines = list(lines)
+    for kind, index, column, text in edits:
+        i = index % (len(lines) + 1)
+        if kind == "value" and i < len(lines):
+            key, eq, _ = lines[i].rpartition("=")
+            if eq:
+                lines[i] = key + eq + text
+            else:
+                row = lines[i].split(",")
+                row[column % len(row)] = text
+                lines[i] = ",".join(row)
+        elif kind == "delete" and i < len(lines):
+            del lines[i]
+        else:
+            lines.insert(i, text)
+    return lines
+
+
+def edit_lists(max_index, tokens):
+    """One to four edits of a file's lines, by apply_edits, each replacement
+    or inserted line drawn from ``tokens`` or from arbitrary Latin-1 text."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["value", "value", "delete", "insert"]),
+            st.integers(min_value=0, max_value=max_index),
+            st.integers(min_value=0, max_value=7),
+            st.one_of(st.sampled_from(tokens), st.text(st.characters(max_codepoint=255), max_size=12)),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def run_quietly(*argv):
+    """The exit code of a command, and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
 # Replacement values for the config fuzz: the integer and amplitude limits,
 # spellings the finite-number rule rejects, and magnitudes that overflow.
 CONFIG_TOKENS = [
@@ -486,38 +575,14 @@ class TestConfigFuzz:
     with a code from the contract and never prints a traceback."""
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["value", "delete", "insert"]),
-                st.integers(min_value=0, max_value=9),
-                st.one_of(
-                    st.sampled_from(CONFIG_TOKENS),
-                    st.text(st.characters(max_codepoint=255), max_size=12),
-                ),
-            ),
-            min_size=1,
-            max_size=3,
-        )
-    )
+    @given(edit_lists(9, CONFIG_TOKENS))
     def test_mutated_config_exits_by_contract(self, tmp_path_factory, edits):
-        lines = format_config(SensorConfig()).splitlines()
-        for kind, index, text in edits:
-            i = index % (len(lines) + 1)
-            if kind == "value" and i < len(lines):
-                lines[i] = f"{lines[i].partition('=')[0]}= {text}"
-            elif kind == "delete" and i < len(lines):
-                del lines[i]
-            else:
-                lines.insert(i, text)
         work = tmp_path_factory.mktemp("fuzz")
         config = work / "mutated.cfg"
-        config.write_bytes("\n".join(lines).encode("latin-1"))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run("characterize", "--out", work / "out", "--config", config)
+        config.write_bytes("\n".join(apply_edits(format_config(SensorConfig()).splitlines(), edits)).encode("latin-1"))
+        code, err = run_quietly("characterize", "--out", work / "out", "--config", config)
         assert code in (0, 2, 3, 4, 5)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
 
 
 # Replacement fields for the centroid fuzz: extreme magnitudes of both signs,
@@ -527,60 +592,90 @@ CENTROID_TOKENS = [
     "-5e-324", "1e-300", "nan", "inf", "", "x", "sphere", "cylinder", "centroid",
     "raw_min", "raw_max",
 ]
+# Line 22 is raw_min,cylinder and line 23 raw_max,cylinder: their thumb span
+# overflows to inf.
+OVERFLOWING_SPAN = [("value", 22, 3, "-1.7976931348623157e308"), ("value", 23, 3, "1.7976931348623157e308")]
+# The cylinder thumb's two extremes swapped, and a centroid at both extremes.
+SWAPPED_EXTREMES = [
+    ("value", 22, 3, "1e308"), ("value", 23, 3, "-1e308"), ("value", 1, 2, "5e-324"), ("value", 1, 3, "1e308"),
+]
 
 
 class TestClassifyFuzz:
     """classify on mutations of the seed-2020 centroid file exits with a code
-    from the contract and never prints a traceback."""
-
-    @pytest.fixture(scope="class")
-    def published(self, default_table, default_cohort, tmp_path_factory):
-        """The seed-2020 centroid file's lines and one session file to classify."""
-        session = tmp_path_factory.mktemp("published") / "query.session"
-        write_session_file(default_cohort[0], session)
-        text = centroids_to_csv(build_centroids(default_table), scale_context(default_table))
-        return text.splitlines(), session
+    from the contract and never prints a traceback, and the bulk centroid
+    reader agrees with the row-at-a-time one."""
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["value", "value", "delete", "insert"]),
-                st.integers(min_value=0, max_value=40),
-                st.integers(min_value=0, max_value=7),
-                st.one_of(
-                    st.sampled_from(CENTROID_TOKENS),
-                    st.text(st.characters(max_codepoint=255), max_size=12),
-                ),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    # raw_min and raw_max of the first shape, thumb: hi - lo overflows to inf.
-    @example([("value", 22, 3, "-1.7976931348623157e308"), ("value", 23, 3, "1.7976931348623157e308")])
-    # The same row's two extremes swapped, and a centroid at both extremes.
-    @example([("value", 22, 3, "1e308"), ("value", 23, 3, "-1e308"), ("value", 1, 2, "5e-324"), ("value", 1, 3, "1e308")])
+    @given(edit_lists(40, CENTROID_TOKENS))
+    @example(OVERFLOWING_SPAN)
+    @example(SWAPPED_EXTREMES)
     def test_mutated_centroid_file_exits_by_contract(self, published, tmp_path_factory, edits):
-        lines, session = published
-        lines = list(lines)
-        for kind, index, column, text in edits:
-            i = index % (len(lines) + 1)
-            if kind == "value" and i < len(lines):
-                row = lines[i].split(",")
-                row[column % len(row)] = text
-                lines[i] = ",".join(row)
-            elif kind == "delete" and i < len(lines):
-                del lines[i]
-            else:
-                lines.insert(i, text)
-        centroids = tmp_path_factory.mktemp("fuzz") / "mutated.csv"
-        centroids.write_bytes("\n".join(lines).encode("latin-1"))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run("classify", session, centroids)
+        session, centroids = published
+        mutated = tmp_path_factory.mktemp("fuzz") / "mutated.csv"
+        mutated.write_bytes("\n".join(apply_edits(centroids.read_text().splitlines(), edits)).encode("latin-1"))
+        code, err = run_quietly("classify", session, mutated)
         assert code in (0, 2, 3, 4, 5)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(edit_lists(40, CENTROID_TOKENS))
+    @example(OVERFLOWING_SPAN)
+    @example(SWAPPED_EXTREMES)
+    def test_bulk_reader_matches_row_loop(self, published, edits):
+        """Equal centroids and context, or the same error type and message."""
+        _, centroids = published
+        text = "\n".join(apply_edits(centroids.read_text().splitlines(), edits))
+
+        def outcome(read):
+            try:
+                return read(text)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(centroids_from_csv) == outcome(_centroids_by_row)
+
+    def test_sound_file_is_read_in_bulk(self, published, monkeypatch):
+        _, centroids = published
+        text = centroids.read_text()
+        expected = _centroids_by_row(text)
+
+        def unreachable(text):
+            raise AssertionError("a sound centroid file went to the row-at-a-time reader")
+
+        monkeypatch.setattr(classify, "_centroids_by_row", unreachable)
+        assert centroids_from_csv(text) == expected
+
+
+# Replacement fields for the session fuzz: counts at and past the 10-bit
+# ceiling, leading zeros, negative and non-integer numbers, a field past
+# int()'s digit limit, and header keywords.
+SESSION_TOKENS = [
+    "0", "00", "0007", "1023", "01023", "1024", "-1", "2.5", "1e308", "-1e308", "5e-324",
+    "nan", "inf", "", "x", " 5", "9" * 5000, "sphere", "cylinder", "2", "# schema=1",
+    "1,2,3,4,5,6",
+]
+
+
+class TestClassifySessionFuzz:
+    """classify of mutations of a seed-2020 session file, against the
+    seed-2020 centroids, exits with a code from the contract and never prints
+    a traceback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(edit_lists(110, SESSION_TOKENS))
+    # A schema and a period past int()'s digit limit each raised a bare
+    # ValueError, a traceback with exit 1.
+    @example([("value", 0, 0, "9" * 5000)])
+    @example([("value", 4, 0, "9" * 5000)])
+    def test_mutated_session_exits_by_contract(self, published, tmp_path_factory, edits):
+        session, centroids = published
+        lines = apply_edits(session.read_text().splitlines(), edits)
+        mutated = tmp_path_factory.mktemp("fuzz") / "mutated.session"
+        mutated.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+        code, err = run_quietly("classify", mutated, centroids)
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err
 
 
 class TestExitCodes:

@@ -179,6 +179,27 @@ class TestReadSession:
         with pytest.raises(SchemaError):
             read_session(data)
 
+    def test_schema_beyond_int_digit_limit_is_unsupported(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        data = format_session(make_session()).replace(b"# schema=1", b"# schema=" + digits.encode())
+        with pytest.raises(SchemaError) as exc:
+            read_session(data)
+        assert str(exc.value) == f"line 1: unsupported schema version {digits}"
+
+    def test_schema_with_leading_zeros_is_supported(self):
+        data = format_session(make_session()).replace(b"# schema=1", b"# schema=0001")
+        assert read_session(data) == make_session()
+
+    def test_period_beyond_int_digit_limit(self):
+        digits = sys.get_int_max_str_digits() + 1
+        data = format_session(make_session()).replace(b"# period_ms=50", b"# period_ms=" + b"5" * digits)
+        with pytest.raises(MalformedHeader) as exc:
+            read_session(data)
+        assert str(exc.value) == (
+            f"line 5: period of {digits} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit conversion limit"
+        )
+
     def test_missing_header_line(self):
         data = b"# schema=1\n# user=u01\n# shape=sphere\n# period_ms=50\n"
         with pytest.raises(MalformedHeader):
