@@ -64,7 +64,6 @@ from .stats import (
     RegressionFit,
     build_cohort,
     cohort_fits,
-    collate,
     intervals_overlap,
     linear_fit,
     min_max_normalize,

@@ -19,8 +19,10 @@ from .types import FINGERS, SHAPE_BY_NAME, GraspSession, Shape
 
 # A new session has no diameter sweep of its own, so min-max normalization is
 # impossible per-user.  Classification instead reuses the training cohort's
-# per-finger raw extremes (per shape hypothesis) as a fixed calibration.
-ScaleContext = dict[tuple[Shape, str], tuple[float, float]]
+# per-finger raw extremes (per shape hypothesis) as a fixed calibration: each
+# shape maps to (lows, highs), two 5-tuples in FINGERS order, which are the
+# shape's raw_min and raw_max rows of a centroid file.
+ScaleContext = dict[Shape, tuple[tuple[float, ...], tuple[float, ...]]]
 
 
 class Centroid(NamedTuple):
@@ -101,14 +103,13 @@ def scale_context(table: CohortTable) -> ScaleContext:
 
 
 def _normalize_query(
-    raw_means: dict[str, float], shape: Shape, context: ScaleContext
+    raw_means: tuple[float, ...], shape: Shape, context: ScaleContext
 ) -> tuple[float, ...]:
     out = []
-    for finger in FINGERS:
-        lo, hi = context[(shape, finger)]
+    for finger, mean, lo, hi in zip(FINGERS, raw_means, *context[shape]):
         if hi == lo:
             raise PreconditionViolation(f"flat scale context for ({shape.value}, {finger})")
-        out.append((raw_means[finger] - lo) / (hi - lo))
+        out.append((mean - lo) / (hi - lo))
     return tuple(out)
 
 
@@ -127,7 +128,7 @@ def classify_session(
     """
     if not centroids:
         raise PreconditionViolation("no centroids to classify against")
-    raw_means = dict(zip(FINGERS, session_means(session, expected_frames)))
+    raw_means = session_means(session, expected_frames)
 
     shapes, diameters, vectors = zip(*centroids)
     queries = {shape: _normalize_query(raw_means, shape, context) for shape in dict.fromkeys(shapes)}
@@ -163,9 +164,8 @@ def centroids_to_csv(centroids: list[Centroid], context: ScaleContext) -> str:
         rows.append(
             ["centroid", c.shape.value, f"{c.diameter_cm:g}"] + [f"{v:.6f}" for v in c.vector]
         )
-    for shape in sorted({s for s, _ in context}, key=lambda s: s.value):
-        lows = [context[(shape, finger)][0] for finger in FINGERS]
-        highs = [context[(shape, finger)][1] for finger in FINGERS]
+    for shape in sorted(context, key=lambda s: s.value):
+        lows, highs = context[shape]
         rows.append(["raw_min", shape.value, ""] + [f"{v:.6f}" for v in lows])
         rows.append(["raw_max", shape.value, ""] + [f"{v:.6f}" for v in highs])
     return "".join(",".join(row) + "\n" for row in rows)
@@ -210,10 +210,10 @@ def _read_rows(rows: list[list[str]]) -> tuple[list[Centroid], dict, dict] | Non
     vectors = list(zip(*(numbers[i : i + len(rows)] for i in range(n, len(numbers), len(rows)))))
     shapes = list(map(SHAPE_BY_NAME.__getitem__, names))
     centroids = list(map(Centroid, compress(shapes, is_centroid), numbers[:n], compress(vectors, is_centroid)))
-    scales: dict[str, dict[tuple[Shape, str], float]] = {"raw_min": {}, "raw_max": {}}
+    scales: dict[str, dict[Shape, tuple[float, ...]]] = {"raw_min": {}, "raw_max": {}}
     for kind, shape, vector in zip(kinds, shapes, vectors):
         if kind != "centroid":
-            scales[kind].update(zip([(shape, f) for f in FINGERS], vector))
+            scales[kind][shape] = vector
     return centroids, scales["raw_min"], scales["raw_max"]
 
 
@@ -224,8 +224,7 @@ def _centroids_by_row(text: str) -> tuple[list[Centroid], ScaleContext]:
     if header.split(",") != _CENTROID_HEADER:
         raise ArgumentError(f"unexpected centroid file header: {header!r}")
     centroids: list[Centroid] = []
-    lows: dict[tuple[Shape, str], float] = {}
-    highs: dict[tuple[Shape, str], float] = {}
+    scales: dict[str, dict[Shape, tuple[float, ...]]] = {"raw_min": {}, "raw_max": {}}
     for lineno, line in lines:
         where = f"centroid file line {lineno}"
         row = line.split(",")
@@ -241,39 +240,32 @@ def _centroids_by_row(text: str) -> tuple[list[Centroid], ScaleContext]:
             if not diameter_cm > 0:
                 raise ArgumentError(f"{where}: diameter_cm must be positive, got {row[2]!r}")
             centroids.append(Centroid(shape=shape, diameter_cm=diameter_cm, vector=tuple(values)))
-        elif kind in ("raw_min", "raw_max"):
-            scale = lows if kind == "raw_min" else highs
-            scale.update(zip([(shape, f) for f in FINGERS], finite_floats(row[3:], FINGERS, where)))
+        elif kind in scales:
+            scales[kind][shape] = tuple(finite_floats(row[3:], FINGERS, where))
         else:
             raise ArgumentError(f"{where}: unknown centroid row kind {kind!r}")
-    return centroids, _checked_context(centroids, lows, highs)
+    return centroids, _checked_context(centroids, scales["raw_min"], scales["raw_max"])
 
 
 def _checked_context(
     centroids: list[Centroid],
-    lows: dict[tuple[Shape, str], float],
-    highs: dict[tuple[Shape, str], float],
+    lows: dict[Shape, tuple[float, ...]],
+    highs: dict[Shape, tuple[float, ...]],
 ) -> ScaleContext:
     """The scale context of a centroid file's rows, once every row is sound."""
-    context: ScaleContext = {
-        key: (lows[key], highs[key]) for key in lows if key in highs
-    }
+    context: ScaleContext = {shape: (lows[shape], highs[shape]) for shape in lows if shape in highs}
     if not centroids:
         raise ArgumentError("centroid file holds no centroids")
-    missing = [
-        (shape, f)
-        for shape in {c.shape for c in centroids}
-        for f in FINGERS
-        if (shape, f) not in context
-    ]
+    missing = {c.shape for c in centroids} - context.keys()
     if missing:
-        raise ArgumentError(f"centroid file lacks raw scale for {sorted(missing)[0]}")
+        raise ArgumentError(f"centroid file lacks raw scale for {min(s.value for s in missing)}")
     # An inverted, flat or overflowing span would normalize every query to
     # garbage that still classifies.
-    for (shape, finger), (lo, hi) in context.items():
-        if not 0 < hi - lo < math.inf:
-            raise ArgumentError(
-                f"centroid file raw scale for ({shape.value}, {finger}): raw_max - raw_min "
-                f"must be positive and finite, got raw_min={lo!r} raw_max={hi!r}"
-            )
+    for shape, scale in context.items():
+        for finger, lo, hi in zip(FINGERS, *scale):
+            if not 0 < hi - lo < math.inf:
+                raise ArgumentError(
+                    f"centroid file raw scale for ({shape.value}, {finger}): raw_max - raw_min "
+                    f"must be positive and finite, got raw_min={lo!r} raw_max={hi!r}"
+                )
     return context

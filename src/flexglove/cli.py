@@ -102,18 +102,25 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _parse_diameters(text: str) -> list[float]:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        diameters = [float(part) for part in text.split(",") if part.strip()]
+        diameters = list(map(float, parts))
     except ValueError:
         raise ArgumentError(f"bad --diameters value {text!r}") from None
     if not diameters:
         raise ArgumentError("--diameters lists no diameters")
+    first: dict[str, int] = {}
+    for i, d in enumerate(diameters):
+        j = first.setdefault(f"{d:g}", i)
+        if j != i:
+            raise ArgumentError(f"--diameters {parts[j]} and {parts[i]} both name {d:g}cm session files")
     return diameters
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     sensor = _sensor_from_args(args)
     table = load_profile_table(args.profile_table) if args.profile_table else None
+    diameters = _parse_diameters(args.diameters) if args.diameters else None
     out = _out_dir(args)
 
     cohorts = []
@@ -121,10 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         (Shape.SPHERE, args.users_sphere, "s", args.seed),
         (Shape.CYLINDER, args.users_cylinder, "c", args.seed + 1),
     ):
-        if args.diameters:
-            objects = [GraspObject(shape, d) for d in _parse_diameters(args.diameters)]
-        else:
-            objects = default_objects(shape)
+        objects = [GraspObject(shape, d) for d in diameters] if diameters else default_objects(shape)
         cohorts.append(simulate_cohort(objects, n_users, seed, sensor, table, user_prefix=prefix))
 
     names = []

@@ -163,20 +163,17 @@ def simulate_session(
             raise DomainError(f"count {count} outside 0..{top}")
     amp = int(sensor.noise_amplitude)
     stamps = range(0, n_frames * DEFAULT_PERIOD_MS, DEFAULT_PERIOD_MS)
-    if amp == 0:
-        frames = [(t, *clean) for t in stamps]
-    else:
-        # The noise stream every simulated file rests on: one Random(seed) per
-        # session; a run of 32-bit MT words, the top k = span.bit_length()
-        # bits of each a draw, values >= span rejected, exactly as randrange
-        # and sample_with_noise consume them; frame-major, finger-minor.
-        draws = _noise_draws(random.Random(seed), 2 * amp + 1, n_frames * len(FINGERS))
-        columns = []
-        for j, c in enumerate(clean):
-            # Draw r is the count c + r - amp, clamped to the converter range.
-            noisy = [max(0, min(v, top)) for v in range(c - amp, c + amp + 1)]
-            columns.append(map(noisy.__getitem__, draws[j::len(FINGERS)]))
-        frames = list(zip(stamps, *columns))
+    # The noise stream every simulated file rests on: one Random(seed) per
+    # session; a run of 32-bit MT words, the top k = span.bit_length() bits of
+    # each a draw, values >= span rejected, exactly as randrange and
+    # sample_with_noise consume them; frame-major, finger-minor; span 1 draws 0s.
+    draws = _noise_draws(random.Random(seed), 2 * amp + 1, n_frames * len(FINGERS))
+    columns = []
+    for j, c in enumerate(clean):
+        # Draw r is the count c + r - amp, clamped to the converter range.
+        noisy = [max(0, min(v, top)) for v in range(c - amp, c + amp + 1)]
+        columns.append(map(noisy.__getitem__, draws[j::len(FINGERS)]))
+    frames = list(zip(stamps, *columns))
     return GraspSession(
         user_id=profile.user_id, obj=obj, frames=frames, sample_period_ms=DEFAULT_PERIOD_MS
     )

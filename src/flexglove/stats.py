@@ -44,13 +44,14 @@ class CohortTable:
     """Per-cell normalized user values plus the raw scale used to build them.
 
     ``values`` maps (shape, diameter, finger) to the per-user normalized
-    values (user order fixed).  ``raw_scale`` keeps, per (shape, finger), the
-    cohort-average raw min and max session means; classifiers reuse it to
-    normalize sessions that arrive without a full diameter sweep.
+    values, in user id order.  ``raw_scale`` maps each shape to ``(lows,
+    highs)``: the cohort-average raw minimum and maximum session means, each a
+    5-tuple in FINGERS order; classifiers reuse it to normalize sessions that
+    arrive without a full diameter sweep.
     """
 
     values: dict[CellKey, tuple[float, ...]]
-    raw_scale: dict[tuple[Shape, str], tuple[float, float]] = field(default_factory=dict)
+    raw_scale: dict[Shape, tuple[tuple[float, ...], tuple[float, ...]]] = field(default_factory=dict)
     _stats: dict[CellKey, FingerStats] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -144,24 +145,6 @@ def sem(values: Sequence[float]) -> float:
     return _sqrt_of_frac(n * sxx - sx * sx, n * (n - 1) * d * d) / math.sqrt(n)
 
 
-def collate(per_user: Mapping[str, Mapping[CellKey, float]]) -> CohortTable:
-    """Stack per-user normalized tables into cohort cells.
-
-    Every cell must collect at least two users; SEM over a single value is
-    undefined and a zero-width interval would make discriminability vacuous.
-    """
-    cells: dict[CellKey, list[float]] = {}
-    for user in sorted(per_user):
-        for key, value in per_user[user].items():
-            cells.setdefault(key, []).append(value)
-    for key, vals in cells.items():
-        if len(vals) < 2:
-            raise PreconditionViolation(
-                f"cell {key} has a single contributing user; SEM is undefined"
-            )
-    return CohortTable(values={k: tuple(v) for k, v in cells.items()})
-
-
 def linear_fit(points: Sequence[tuple[float, float]]) -> RegressionFit:
     """Ordinary least squares fit with coefficient of determination."""
     if len(points) < 2 or len({x for x, _ in points}) < 2:
@@ -187,44 +170,49 @@ def intervals_overlap(a: FingerStats, b: FingerStats) -> bool:
 # --- session-level pipeline ---------------------------------------------------
 
 def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = 100) -> CohortTable:
-    """Run the full averaging/normalization/collation pipeline over sessions.
+    """Run the full averaging/normalization/collation pipeline over sessions,
+    users in id order.
 
-    Also records, per (shape, finger), the cohort-average raw sweep extremes
-    that the classifier later reuses as its normalization context.
+    Every cell must collect at least two users: SEM over a single value is
+    undefined and a zero-width interval would make discriminability vacuous.
+    Also records each shape's cohort-average raw sweep minima and maxima, in
+    FINGERS order, which the classifier reuses as its normalization context.
     """
-    raw: dict[tuple[str, Shape], dict[str, dict[float, float]]] = {}
+    sweeps: dict[tuple[str, Shape], dict[float, tuple[float, ...]]] = {}
     for session in sessions:
-        group = raw.setdefault((session.user_id, session.obj.shape), {f: {} for f in FINGERS})
+        sweep = sweeps.setdefault((session.user_id, session.obj.shape), {})
         d = session.obj.diameter_cm
-        if d in group[FINGERS[0]]:
+        if d in sweep:
             raise ArgumentError(
                 f"duplicate session for {session.user_id}/{session.obj.shape.value}/{d} cm"
             )
-        for finger, mean in zip(FINGERS, session_means(session, expected_frames)):
-            group[finger][d] = mean
-    if not raw:
+        sweep[d] = session_means(session, expected_frames)
+    if not sweeps:
         raise ArgumentError("no sessions to analyze")
 
-    per_user: dict[str, dict[CellKey, float]] = {}
-    extremes: dict[tuple[Shape, str], list[tuple[float, float]]] = {}
-    for (user, shape), by_finger in raw.items():
-        for finger, by_diam in by_finger.items():
-            normalized = min_max_normalize(by_diam)
-            user_cells = per_user.setdefault(user, {})
-            for d, value in normalized.items():
-                user_cells[(shape, d, finger)] = value
-            extremes.setdefault((shape, finger), []).append(
-                (min(by_diam.values()), max(by_diam.values()))
+    cells: dict[CellKey, list[float]] = {}
+    extremes: dict[Shape, tuple[list, list]] = {}
+    # A stable sort: each user's shapes keep their first-seen order.
+    for (_, shape), sweep in sorted(sweeps.items(), key=lambda item: item[0][0]):
+        columns = list(zip(*sweep.values()))
+        for finger, column in zip(FINGERS, columns):
+            for d, value in min_max_normalize(dict(zip(sweep, column))).items():
+                cells.setdefault((shape, d, finger), []).append(value)
+        lows, highs = extremes.setdefault(shape, ([], []))
+        lows.append(tuple(map(min, columns)))
+        highs.append(tuple(map(max, columns)))
+    for key, vals in cells.items():
+        if len(vals) < 2:
+            raise PreconditionViolation(
+                f"cell {key} has a single contributing user; SEM is undefined"
             )
-
-    table = collate(per_user)
-    for key in sorted(extremes, key=lambda k: (k[0].value, FINGERS.index(k[1]))):
-        pairs = extremes[key]
-        table.raw_scale[key] = (
-            statistics.fmean(lo for lo, _ in pairs),
-            statistics.fmean(hi for _, hi in pairs),
-        )
-    return table
+    return CohortTable(
+        values={k: tuple(v) for k, v in cells.items()},
+        raw_scale={
+            shape: tuple(tuple(map(statistics.fmean, zip(*rows))) for rows in pair)
+            for shape, pair in extremes.items()
+        },
+    )
 
 
 def cohort_fits(table: CohortTable) -> list[tuple[Shape, str, str, RegressionFit, int]]:

@@ -105,7 +105,7 @@ def query_session(raw, shape=Shape.SPHERE, diameter=8.0, user="q"):
 
 
 def simple_context(lo=0.0, hi=128.0):
-    return {(shape, f): (lo, hi) for shape in Shape for f in FINGERS}
+    return {shape: ((lo,) * len(FINGERS), (hi,) * len(FINGERS)) for shape in Shape}
 
 
 class TestClassifySession:

@@ -119,6 +119,19 @@ class TestSimulate:
         # A file with `# diameter_cm=inf` would be rejected by its own reader.
         assert run("simulate", "--out", tmp_path / "x", "--diameters", "6,inf") == 2
 
+    @pytest.mark.parametrize(
+        "diameters, first, second", [("6,6,8", "6", "6"), ("6.0000001,6.0000002,8", "6.0000001", "6.0000002")]
+    )
+    def test_diameters_naming_one_file_are_argument_error(self, tmp_path, diameters, first, second):
+        # Each pair wrote its second file over its first, and simulate exited 0.
+        out = tmp_path / "x"
+        code, err = run_quietly(
+            "simulate", "--out", out, "--users-sphere", "2", "--users-cylinder", "2", "--diameters", diameters
+        )
+        assert code == 2
+        assert err == f"ArgumentError: --diameters {first} and {second} both name 6cm session files\n"
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -398,7 +411,7 @@ class TestClassify:
         capsys.readouterr()
         assert run("classify", session, bad) == 2
         err = capsys.readouterr().err
-        assert "ArgumentError: centroid file lacks raw scale for (<Shape.CYLINDER: 'cylinder'>, 'index')\n" in err
+        assert "ArgumentError: centroid file lacks raw scale for cylinder\n" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -519,8 +532,9 @@ class TestTextInputs:
 def apply_edits(lines, edits):
     """``lines`` after each edit ``(kind, index, column, text)`` in turn.  A
     "value" edit sets what follows the line's last "=", or else its comma
-    field ``column``; "delete" drops the line; "insert", or an index past the
-    last line, inserts ``text`` as a line."""
+    field ``column``, or on a line with no comma its space-separated field
+    ``column``; "delete" drops the line; "insert", or an index past the last
+    line, inserts ``text`` as a line."""
     lines = list(lines)
     for kind, index, column, text in edits:
         i = index % (len(lines) + 1)
@@ -529,9 +543,10 @@ def apply_edits(lines, edits):
             if eq:
                 lines[i] = key + eq + text
             else:
-                row = lines[i].split(",")
+                sep = "," if "," in lines[i] else " "
+                row = lines[i].split(sep)
                 row[column % len(row)] = text
-                lines[i] = ",".join(row)
+                lines[i] = sep.join(row)
         elif kind == "delete" and i < len(lines):
             del lines[i]
         else:
@@ -674,6 +689,82 @@ class TestClassifySessionFuzz:
         mutated = tmp_path_factory.mktemp("fuzz") / "mutated.session"
         mutated.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
         code, err = run_quietly("classify", mutated, centroids)
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err
+
+
+# The small cohort both fuzzes below simulate.
+SMALL_COHORT = ("--users-sphere", "2", "--users-cylinder", "2", "--diameters", "6,9,12")
+# Replacement fields for the profile-table fuzz: extreme magnitudes of both
+# signs, spellings the finite-number rule rejects, and the table's own names.
+PROFILE_TOKENS = [
+    "0", "-0", "1", "-1", "1e308", "-1e308", "1.7976931348623157e308", "5e-324", "-5e-324",
+    "1e-300", "nan", "inf", "", "x", "thumb", "pinky", "sphere", "cylinder",
+]
+# Line 2 is thumb sphere: its gain and gain spread both at the largest float,
+# and its offset and offset spread at opposite extremes.
+EXTREME_GAINS = [("value", 2, 2, "1.7976931348623157e308"), ("value", 2, 4, "1.7976931348623157e308")]
+EXTREME_OFFSETS = [("value", 2, 3, "-1e308"), ("value", 2, 5, "1e308")]
+
+
+class TestProfileTableFuzz:
+    """simulate --profile-table on mutations of the default table, then
+    analyze of whatever it wrote, exit with codes from the contract and never
+    print a traceback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(edit_lists(12, PROFILE_TOKENS))
+    @example(EXTREME_GAINS)
+    @example(EXTREME_OFFSETS)
+    def test_mutated_profile_table_exits_by_contract(self, tmp_path_factory, edits):
+        work = tmp_path_factory.mktemp("fuzz")
+        table = work / "mutated.table"
+        lines = apply_edits(format_profile_table(DEFAULT_PROFILE_TABLE).splitlines(), edits)
+        table.write_bytes("\n".join(lines).encode("latin-1"))
+        code, err = run_quietly("simulate", "--out", work / "sessions", "--profile-table", table, *SMALL_COHORT)
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err
+        if code == 0:
+            code, err = run_quietly("analyze", work / "sessions", "--out", work / "analysis")
+            assert code in (0, 2, 3, 4, 5)
+            assert "Traceback" not in err
+
+
+# The session fuzz's fields, plus header values that make one cohort's sessions
+# collide or leave a cell with one user.
+ANALYZE_TOKENS = SESSION_TOKENS + ["c01", "s02", "6.0", "7"]
+# File 0 is cylinder_12cm_c01.session: line 1 holds its user, line 3 its diameter.
+DUPLICATE_SESSION = [(0, [("value", 1, 0, "c02")])]
+SINGLE_USER_CELL = [(0, [("value", 3, 0, "7")])]
+
+
+class TestAnalyzeFuzz:
+    """analyze of a small cohort with one to three of its session files
+    mutated exits with a code from the contract and never prints a traceback."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        """Each session file's name and text."""
+        out = tmp_path_factory.mktemp("cohort")
+        assert run_quietly("simulate", "--out", out, "--seed", "7", *SMALL_COHORT)[0] == 0
+        return {path.name: path.read_text() for path in sorted(out.glob("*.session"))}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=11), edit_lists(110, ANALYZE_TOKENS)), min_size=1, max_size=3))
+    @example(DUPLICATE_SESSION)
+    @example(SINGLE_USER_CELL)
+    def test_mutated_sessions_exit_by_contract(self, cohort, tmp_path_factory, mutations):
+        work = tmp_path_factory.mktemp("fuzz")
+        sessions = work / "sessions"
+        sessions.mkdir()
+        texts = dict(cohort)
+        names = list(texts)
+        for index, edits in mutations:
+            name = names[index % len(names)]
+            texts[name] = "".join(line + "\n" for line in apply_edits(texts[name].splitlines(), edits))
+        for name, text in texts.items():
+            (sessions / name).write_bytes(text.encode("latin-1"))
+        code, err = run_quietly("analyze", sessions, "--out", work / "analysis")
         assert code in (0, 2, 3, 4, 5)
         assert "Traceback" not in err
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexglove import (
+    FINGERS,
     ArgumentError,
     DegenerateRange,
     FingerStats,
@@ -16,7 +18,6 @@ from flexglove import (
     PreconditionViolation,
     Shape,
     build_cohort,
-    collate,
     intervals_overlap,
     linear_fit,
     min_max_normalize,
@@ -216,17 +217,28 @@ class TestLinearFit:
             assert fit.intercept == pytest.approx(intercept, abs=1e-9)
 
 
+def sweep_sessions(user, counts, shape=Shape.CYLINDER):
+    """One constant session per (diameter, count) of ``counts``."""
+    return [constant_session(v, user=user, shape=shape, diameter=d) for d, v in counts.items()]
+
+
 class TestCollate:
     def test_two_user_cell(self):
+        # b's sessions come first; each cell's values still run in user order.
+        sessions = sweep_sessions("b", {6.0: 700, 8.0: 460, 10.0: 300})
+        sessions += sweep_sessions("a", {6.0: 700, 8.0: 540, 10.0: 300})
         key = (Shape.CYLINDER, 8.0, "pinky")
-        table = collate({"a": {key: 0.4}, "b": {key: 0.6}})
+        table = build_cohort(sessions)
+        assert table.values[key] == (0.6, 0.4)
         st_ = table.stats(key)
         assert st_.mean == pytest.approx(0.5)
         assert st_.n == 2
 
     def test_single_user_cell_rejected(self):
-        with pytest.raises(PreconditionViolation):
-            collate({"a": {(Shape.SPHERE, 8.0, "ring"): 0.4}})
+        sessions = sweep_sessions("a", {6.0: 700, 8.0: 500}, Shape.SPHERE)
+        sessions += sweep_sessions("b", {6.0: 700, 10.0: 500}, Shape.SPHERE)
+        with pytest.raises(PreconditionViolation, match=r"single contributing user; SEM is undefined"):
+            build_cohort(sessions)
 
     def test_default_sphere_cells_have_eleven_users(self, default_table):
         for d in default_table.diameters(Shape.SPHERE):
@@ -275,7 +287,23 @@ class TestBuildCohort:
         assert table.stats((Shape.SPHERE, 6.0, "middle")).mean == 1.0
         assert table.stats((Shape.SPHERE, 16.0, "middle")).mean == 0.0
         # raw scale context records the cohort-average sweep extremes
-        assert table.raw_scale[(Shape.SPHERE, "middle")] == (302.5, 702.5)
+        assert table.raw_scale == {Shape.SPHERE: ((302.5,) * 5, (702.5,) * 5)}
+
+    def test_default_cohort_floats_are_pinned(self, default_table):
+        """The seed-2020 cells and raw scale, to the last bit: the golden CSVs
+        round to six decimals."""
+        values = repr(sorted((shape.value, d, f, vals) for (shape, d, f), vals in default_table.values.items()))
+        assert hashlib.sha256(values.encode()).hexdigest() == (
+            "6ffdd73e6c3c01baa3297276783862ef2070db53c6cffab81754e6b8963f6e02"
+        )
+        scale = [
+            (shape.value, finger, (lo, hi))
+            for shape in Shape
+            for finger, lo, hi in zip(FINGERS, *default_table.raw_scale[shape])
+        ]
+        assert hashlib.sha256(repr(scale).encode()).hexdigest() == (
+            "0abebfd3add47560de26c23f27fcc645aa5ba83c692c58e333a5d2e8d4a31615"
+        )
 
     def test_duplicate_session_rejected(self):
         sessions = [constant_session(500), constant_session(510)]
