@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -146,17 +147,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     session_dir = Path(args.sessions)
-    # key=str: within one directory the same order as sorting the paths, at a
-    # fraction of the cost of Path's comparisons.
-    paths = sorted(session_dir.glob("*.session"), key=str)
-    if not paths:
+    # One listing and plain strings: a Path per entry costs more than the
+    # listing itself.  A missing path or a non-directory holds no sessions.
+    try:
+        names = sorted(name for name in os.listdir(session_dir) if name.endswith(".session"))
+    except (FileNotFoundError, NotADirectoryError):
+        names = []
+    if not names:
         raise ArgumentError(f"no .session files in {session_dir}")
+    prefix = os.path.join(session_dir, "")
     sessions = []
     try:
-        for path in paths:
-            sessions.append(read_session_file(path))
+        for name in names:
+            sessions.append(read_session_file(prefix + name))
     except ParseError as exc:
-        exc.args = (f"{path.name}: {exc}",)
+        exc.args = (f"{name}: {exc}",)
         raise
     out = _out_dir(args)
 

@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the reader that turns
-hand-edited text files into them."""
+"""Exception types shared across the package, the raw reader behind every
+input file, and the reader that turns hand-edited text files into them."""
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterator, Sequence
 
 
@@ -63,13 +64,38 @@ class DegenerateRange(GloveError, ValueError):
     """Min-max normalization saw a flat input (max == min): dead channel."""
 
 
+# One os.read takes a whole session file; a longer file takes more.
+_READ_CHUNK = 1 << 16
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+
+
+def read_bytes(path) -> bytes:
+    """The whole content of the file at ``path``.
+
+    The bytes open(path, "rb").read() gives, from an os.read loop on an
+    unbuffered descriptor: no file object, no buffer, and no fstat or isatty
+    call.  An OSError names ``path``, as open()'s do, also when os.read fails
+    (EISDIR, where ``path`` is a directory).
+    """
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def read_ascii(path, what: str) -> str:
     """The text of a hand-edited input file; a non-ASCII byte is an ArgumentError."""
     # Bytes, then decode: half the time of Path.read_text.  Its newline
     # translation is not needed, since every caller splits the text through
     # content_lines, whose splitlines() ends a line at \r, \n or \r\n alike.
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:

@@ -20,12 +20,21 @@ Session file: five header lines followed by frame lines, `\n` terminators:
 I/O is deliberately permissive about frame counts (a 37-frame capture is a
 valid file); the analysis layer enforces the expected count instead.
 
-read_session takes one session's bytes (read_session_file reads them from a
-path) and reads the frame block, everything after the header, by one of two
-paths.  The block pass: one grammar match over the whole block, one split
-into fields, timestamps through int() and counts through a table of the
-1,024 canonical spellings, which is also the range check.  parse_frame, line
-by line, for whatever the block pass rejects (a fault, a leading zero, a
+read_session_file takes a file's bytes in one raw read (errors.read_bytes:
+an os.read loop, no file object) and hands them to read_session.
+
+read_session matches the five header lines with one pattern, `# key=` and a
+non-empty value up to the line's `\n` for each key in turn (the fifth line
+may end the text instead).  Only a header the pattern misses goes through the
+line loop, split and one prefix check per line, whose one job is to raise the
+first fault with its line number.  The values then go through one shared
+check: schema, shape, diameter, period.
+
+The frame block, everything after the header, is read by one of two paths.
+The block pass: one grammar match over the whole block, one split into
+fields, timestamps through int() and counts through a table of the 1,024
+canonical spellings, which is also the range check.  parse_frame, line by
+line, for whatever the block pass rejects (a fault, a leading zero, a
 carriage return, a blank line, a field too long to convert): it returns the
 same frames or raises the error, with its line number, of the first fault.
 """
@@ -35,6 +44,7 @@ import math
 import operator
 import re
 import sys
+from typing import NoReturn
 
 from .errors import (
     MalformedFrame,
@@ -42,12 +52,17 @@ from .errors import (
     OrderViolation,
     RangeViolation,
     SchemaError,
+    read_bytes,
 )
 from .types import ADC_MAX, SHAPE_BY_NAME, GraspObject, GraspSession
 
 SCHEMA_VERSION = 1
 
 _HEADER_KEYS = ("schema", "user", "shape", "diameter_cm", "period_ms")
+
+# The five header lines, each value non-empty; the last line ends in \n or
+# ends the text.  It matches exactly the headers the line loop accepts.
+_HEADER = re.compile(r"\n".join(rf"# {key}=([^\n]+)" for key in _HEADER_KEYS) + r"(?:\n|\Z)")
 
 
 def _is_decimal(fieldtext: str) -> bool:
@@ -92,14 +107,21 @@ def parse_frame(line: str, line_no: int | None = None) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _parse_header_line(line: str, key: str, line_no: int) -> str:
-    prefix = f"# {key}="
-    if not line.startswith(prefix):
-        raise MalformedHeader(f"expected {prefix!r}..., got {line!r}", line=line_no)
-    value = line[len(prefix):]
-    if not value:
-        raise MalformedHeader(f"empty value for {key!r}", line=line_no)
-    return value
+def _raise_header_fault(text: str) -> NoReturn:
+    """Raise the first fault, with its line number, of a header that _HEADER
+    does not match."""
+    n_header = len(_HEADER_KEYS)
+    lines = text.split("\n", n_header)
+    # Too short: fewer than five lines, or four followed by a final newline.
+    if len(lines) < n_header or lines[n_header - 1:] == [""]:
+        raise MalformedHeader("stream too short to hold a session header")
+    for line_no, (line, key) in enumerate(zip(lines, _HEADER_KEYS), start=1):
+        prefix = f"# {key}="
+        if not line.startswith(prefix):
+            raise MalformedHeader(f"expected {prefix!r}..., got {line!r}", line=line_no)
+        if line == prefix:
+            raise MalformedHeader(f"empty value for {key!r}", line=line_no)
+    raise AssertionError("_HEADER rejected a header the line loop accepts")
 
 
 def read_session(data: bytes) -> GraspSession:
@@ -108,49 +130,43 @@ def read_session(data: bytes) -> GraspSession:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"session stream is not ASCII: {exc}") from None
-    n_header = len(_HEADER_KEYS)
-    lines = text.split("\n", n_header)
-    # Too short: fewer than five lines, or four followed by a final newline.
-    if len(lines) < n_header or lines[n_header - 1:] == [""]:
-        raise MalformedHeader("stream too short to hold a session header")
-    block = lines[n_header] if len(lines) > n_header else ""
+    header = _HEADER.match(text)
+    if header is None:
+        _raise_header_fault(text)
+    schema, user, shape_name, diameter_text, period_text = header.groups()
 
-    values = {
-        key: _parse_header_line(lines[i], key, i + 1)
-        for i, key in enumerate(_HEADER_KEYS)
-    }
-    if not _is_decimal(values["schema"]):
-        raise MalformedHeader(f"schema {values['schema']!r} is not an integer", line=1)
+    if not _is_decimal(schema):
+        raise MalformedHeader(f"schema {schema!r} is not an integer", line=1)
     # Compared as text: int() refuses a number over its digit limit.
-    if values["schema"].lstrip("0") != str(SCHEMA_VERSION):
-        raise SchemaError(f"unsupported schema version {values['schema']}", line=1)
+    if schema.lstrip("0") != str(SCHEMA_VERSION):
+        raise SchemaError(f"unsupported schema version {schema}", line=1)
     try:
-        shape = SHAPE_BY_NAME[values["shape"]]
+        shape = SHAPE_BY_NAME[shape_name]
     except KeyError:
-        raise MalformedHeader(f"unknown shape {values['shape']!r}", line=3) from None
+        raise MalformedHeader(f"unknown shape {shape_name!r}", line=3) from None
     try:
-        diameter = float(values["diameter_cm"])
+        diameter = float(diameter_text)
     except ValueError:
-        raise MalformedHeader(f"diameter {values['diameter_cm']!r} is not a number", line=4) from None
+        raise MalformedHeader(f"diameter {diameter_text!r} is not a number", line=4) from None
     if not diameter > 0:
         raise MalformedHeader(f"diameter must be positive, got {diameter}", line=4)
     if not math.isfinite(diameter):
         raise MalformedHeader(f"diameter must be finite, got {diameter}", line=4)
-    if not _is_decimal(values["period_ms"]):
-        raise MalformedHeader(f"period {values['period_ms']!r} is not an integer", line=5)
+    if not _is_decimal(period_text):
+        raise MalformedHeader(f"period {period_text!r} is not an integer", line=5)
     try:
-        period_ms = int(values["period_ms"])
+        period_ms = int(period_text)
     except ValueError:
         raise MalformedHeader(
-            f"period of {len(values['period_ms'])} digits exceeds the "
+            f"period of {len(period_text)} digits exceeds the "
             f"{sys.get_int_max_str_digits()}-digit conversion limit",
             line=5,
         ) from None
 
     return GraspSession(
-        user_id=values["user"],
+        user_id=user,
         obj=GraspObject(shape, diameter),
-        frames=_read_frames(block),
+        frames=_read_frames(text[header.end():]),
         sample_period_ms=period_ms,
     )
 
@@ -209,11 +225,8 @@ def format_session(session: GraspSession) -> bytes:
     return "".join(parts).encode("ascii")
 
 
-# open(), not Path(path).read_bytes(): building a Path on every call adds
-# about as much time as opening the file.
 def read_session_file(path) -> GraspSession:
-    with open(path, "rb") as fh:
-        return read_session(fh.read())
+    return read_session(read_bytes(path))
 
 
 def write_session_file(session: GraspSession, path) -> None:

@@ -91,7 +91,8 @@ def session_means(session: GraspSession, expected_frames: int = 100) -> tuple[fl
             f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
             f"has {len(session.frames)} frames, expected {expected_frames}"
         )
-    return tuple(map(statistics.fmean, list(zip(*session.frames))[1:]))
+    # sum/len of an int column is the float statistics.fmean gives, in less time.
+    return tuple([sum(c) / len(c) for c in list(zip(*session.frames))[1:]])
 
 
 def min_max_normalize(values: Mapping[float, float]) -> dict[float, float]:
@@ -193,18 +194,23 @@ def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = 100) -
     cells: dict[CellKey, list[float]] = {}
     extremes: dict[Shape, tuple[list, list]] = {}
     # A stable sort: each user's shapes keep their first-seen order.
-    for (_, shape), sweep in sorted(sweeps.items(), key=lambda item: item[0][0]):
+    for (user, shape), sweep in sorted(sweeps.items(), key=lambda item: item[0][0]):
         columns = list(zip(*sweep.values()))
         for finger, column in zip(FINGERS, columns):
-            for d, value in min_max_normalize(dict(zip(sweep, column))).items():
+            try:
+                normalized = min_max_normalize(dict(zip(sweep, column)))
+            except (PreconditionViolation, DegenerateRange) as exc:
+                exc.args = (f"user {user}, {shape.value}, {finger}: {exc}",)
+                raise
+            for d, value in normalized.items():
                 cells.setdefault((shape, d, finger), []).append(value)
         lows, highs = extremes.setdefault(shape, ([], []))
         lows.append(tuple(map(min, columns)))
         highs.append(tuple(map(max, columns)))
-    for key, vals in cells.items():
+    for (shape, d, finger), vals in cells.items():
         if len(vals) < 2:
             raise PreconditionViolation(
-                f"cell {key} has a single contributing user; SEM is undefined"
+                f"cell ({shape.value}, {d:g}, {finger}) has a single contributing user; SEM is undefined"
             )
     return CohortTable(
         values={k: tuple(v) for k, v in cells.items()},

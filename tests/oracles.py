@@ -4,9 +4,13 @@ The statistics oracles deliberately use nothing from the package and spell
 every formula out as plain summation so they stay independent of the code
 paths under test.  The session reader oracle is the line-at-a-time reader
 that read_session's block pass must agree with: it shares only parse_frame,
-whose errors the parser tests pin literally, and the package's types.
+whose errors the parser tests pin literally, and the package's types.  The
+header oracle is the line loop that read_session's header pattern must agree
+with; it reads the frame block through the package's own block reader, which
+the line-at-a-time oracle checks.
 """
 import math
+import sys
 
 from flexglove import (
     GraspObject,
@@ -17,6 +21,8 @@ from flexglove import (
     Shape,
     parse_frame,
 )
+from flexglove.session_io import _read_frames
+from flexglove.types import SHAPE_BY_NAME
 
 
 def sem_oracle(values):
@@ -100,4 +106,64 @@ def read_session_by_line(data):
         obj=GraspObject(shape, diameter),
         frames=frames,
         sample_period_ms=int(values["period_ms"]),
+    )
+
+
+def _parse_header_line(line, key, line_no):
+    prefix = f"# {key}="
+    if not line.startswith(prefix):
+        raise MalformedHeader(f"expected {prefix!r}..., got {line!r}", line=line_no)
+    value = line[len(prefix):]
+    if not value:
+        raise MalformedHeader(f"empty value for {key!r}", line=line_no)
+    return value
+
+
+def read_session_by_header_loop(data):
+    """Read a session from bytes with the header split into lines and checked
+    one line at a time, as read_session did before it matched the header with
+    one pattern."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"session stream is not ASCII: {exc}") from None
+    keys = ("schema", "user", "shape", "diameter_cm", "period_ms")
+    lines = text.split("\n", 5)
+    if len(lines) < 5 or lines[4:] == [""]:
+        raise MalformedHeader("stream too short to hold a session header")
+    block = lines[5] if len(lines) > 5 else ""
+
+    values = {key: _parse_header_line(lines[i], key, i + 1) for i, key in enumerate(keys)}
+    if not (values["schema"].isascii() and values["schema"].isdigit()):
+        raise MalformedHeader(f"schema {values['schema']!r} is not an integer", line=1)
+    if values["schema"].lstrip("0") != "1":
+        raise SchemaError(f"unsupported schema version {values['schema']}", line=1)
+    try:
+        shape = SHAPE_BY_NAME[values["shape"]]
+    except KeyError:
+        raise MalformedHeader(f"unknown shape {values['shape']!r}", line=3) from None
+    try:
+        diameter = float(values["diameter_cm"])
+    except ValueError:
+        raise MalformedHeader(f"diameter {values['diameter_cm']!r} is not a number", line=4) from None
+    if not diameter > 0:
+        raise MalformedHeader(f"diameter must be positive, got {diameter}", line=4)
+    if not math.isfinite(diameter):
+        raise MalformedHeader(f"diameter must be finite, got {diameter}", line=4)
+    if not (values["period_ms"].isascii() and values["period_ms"].isdigit()):
+        raise MalformedHeader(f"period {values['period_ms']!r} is not an integer", line=5)
+    try:
+        period_ms = int(values["period_ms"])
+    except ValueError:
+        raise MalformedHeader(
+            f"period of {len(values['period_ms'])} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit conversion limit",
+            line=5,
+        ) from None
+
+    return GraspSession(
+        user_id=values["user"],
+        obj=GraspObject(shape, diameter),
+        frames=_read_frames(block),
+        sample_period_ms=period_ms,
     )

@@ -237,13 +237,42 @@ class TestAnalyze:
         empty.mkdir()
         assert run("analyze", empty, "--out", tmp_path / "a") == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_path_that_is_not_a_directory_is_argument_error(self, tmp_path, kind):
+        path = tmp_path / "sessions"
+        if kind == "file":
+            path.write_bytes(b"# schema=1\n")
+        code, err = run_quietly("analyze", path, "--out", tmp_path / "a")
+        assert code == 2
+        assert err == f"ArgumentError: no .session files in {path}\n"
+
+    def test_directory_named_like_a_session_is_io_error(self, small_cohort_dir, tmp_path):
+        odd = small_cohort_dir / "x.session"
+        odd.mkdir()
+        code, err = run_quietly("analyze", small_cohort_dir, "--out", tmp_path / "a")
+        odd.rmdir()
+        assert code == 5
+        assert err.startswith("IoError: ")
+        assert str(odd) in err
+
+    def test_unlistable_directory_is_io_error(self, tmp_path):
+        # A directory that cannot be listed is an I/O fault, not an empty one.
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        code, err = run_quietly("analyze", loop, "--out", tmp_path / "a")
+        assert code == 5
+        assert err.startswith("IoError: ")
+        assert str(loop) in err
+
     def test_single_user_is_precondition_violation(self, tmp_path):
         out = tmp_path / "solo"
         assert run(
             "simulate", "--out", out, "--seed", "5",
             "--users-sphere", "1", "--users-cylinder", "1", "--diameters", "6,8",
         ) == 0
-        assert run("analyze", out, "--out", tmp_path / "a") == 4
+        code, err = run_quietly("analyze", out, "--out", tmp_path / "a")
+        assert code == 4
+        assert err == "PreconditionViolation: cell (cylinder, 6, thumb) has a single contributing user; SEM is undefined\n"
 
     def test_corrupt_session_is_parse_error(self, small_cohort_dir, tmp_path, capsys):
         bad = small_cohort_dir / "bad.session"
@@ -777,3 +806,10 @@ class TestExitCodes:
 
     def test_missing_session_file_is_io_error(self, tmp_path):
         assert run("classify", tmp_path / "nope.session", tmp_path / "c.csv") == 5
+
+    def test_directory_given_as_session_is_io_error(self, published, tmp_path):
+        _, centroids = published
+        code, err = run_quietly("classify", tmp_path, centroids)
+        assert code == 5
+        assert err.startswith("IoError: ")
+        assert str(tmp_path) in err

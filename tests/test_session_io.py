@@ -20,7 +20,9 @@ from flexglove import (
     read_session_file,
     write_session_file,
 )
-from oracles import read_session_by_line
+from flexglove import session_io
+from flexglove.errors import _READ_CHUNK, read_bytes
+from oracles import read_session_by_header_loop, read_session_by_line
 
 adc_values = st.integers(min_value=0, max_value=1023)
 
@@ -387,3 +389,139 @@ class TestBlockLineParity:
     )
     def test_short_and_unterminated_headers_match_line_reader(self, raw):
         assert _outcome(read_session, raw) == _outcome(read_session_by_line, raw)
+
+
+# Each mutation edits the five header lines of a valid session (a list of
+# lines without their newlines).
+OVER_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+HEADER_VALUES = [
+    "", "1", "01", "2", "0", " 1", "1 ", "-1", "1.5", "nan", "inf", "-0.0", "1e308",
+    "sphere", "cylinder", "cube", "# schema=1", "=", OVER_LONG, "0" * 5000 + "1",
+]
+
+
+def _carriage_return_in_value(data, lines):
+    i = _pick_line(data, lines)
+    at = data.draw(st.integers(lines[i].find("=") + 1, len(lines[i])))
+    lines[i] = lines[i][:at] + "\r" + lines[i][at:]
+
+
+def _empty_value(data, lines):
+    i = _pick_line(data, lines)
+    lines[i] = lines[i].partition("=")[0] + "="
+
+
+def _drop_header_line(data, lines):
+    del lines[_pick_line(data, lines)]
+
+
+def _over_long_number(data, lines):
+    i = next((j for j, line in enumerate(lines) if line.startswith(("# schema=", "# period_ms="))), None)
+    if i is not None:
+        lines[i] = lines[i].partition("=")[0] + "=" + data.draw(st.sampled_from([OVER_LONG, "0" * 5000 + "1"]))
+
+
+def _non_ascii_char(data, lines):
+    i = _pick_line(data, lines)
+    at = data.draw(st.integers(0, len(lines[i])))
+    lines[i] = lines[i][:at] + data.draw(st.sampled_from(["\xe9", "\u0663", "\x80"])) + lines[i][at:]
+
+
+def _other_value(data, lines):
+    i = _pick_line(data, lines)
+    lines[i] = lines[i].partition("=")[0] + "=" + data.draw(st.sampled_from(HEADER_VALUES))
+
+
+def _other_key(data, lines):
+    i = _pick_line(data, lines)
+    prefix = data.draw(st.sampled_from(["#schema=", "# Schema=", "# user =", "# period_ms", "", "#"]))
+    lines[i] = prefix + lines[i].partition("=")[2]
+
+
+def _blank_header_line(data, lines):
+    lines.insert(data.draw(st.integers(0, len(lines))), "")
+
+
+def _swap_header_lines(data, lines):
+    i, j = _pick_line(data, lines), _pick_line(data, lines)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+HEADER_MUTATIONS = [
+    _carriage_return_in_value, _empty_value, _drop_header_line, _over_long_number, _non_ascii_char,
+    _other_value, _other_key, _blank_header_line, _swap_header_lines,
+]
+
+
+class TestHeaderPatternParity:
+    """read_session matches the header with one pattern; on every input it
+    must agree with the line loop it replaced: the same session, or the same
+    error kind, message and line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sessions(), st.data())
+    def test_mutated_header_matches_line_loop(self, session, data):
+        lines = format_session(session).decode("ascii").split("\n")
+        header, block = lines[:5], "\n".join(lines[5:])
+        for _ in range(data.draw(st.integers(1, 3))):
+            usable = HEADER_MUTATIONS if header else [_blank_header_line]
+            data.draw(st.sampled_from(usable))(data, header)
+        text = "".join(line + "\n" for line in header)
+        ending = data.draw(st.sampled_from(["block", "header only", "no final newline"]))
+        if ending == "block":
+            text += block
+        elif ending == "no final newline":
+            text = text[:-1]
+        raw = text.encode("utf-8")
+        assert _outcome(read_session, raw) == _outcome(read_session_by_header_loop, raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"", b"\n", b"# schema=1", b"# schema=1\n# user=u\n# shape=sphere\n# diameter_cm=8\n",
+         b"# schema=1\n# user=u\n# shape=sphere\n# diameter_cm=8\n# period_ms=",
+         b"# schema=1\n# user=u\n# shape=sphere\n# diameter_cm=8\n# period_ms=50",
+         b"# schema=1\n# user=u\n# shape=sphere\n# diameter_cm=8\n# period_ms=50\r\n",
+         b"# schema=1\n# user=u\r\n# shape=sphere\n# diameter_cm=8\n# period_ms=50\n",
+         b"# schema=1\n# user=\n# shape=sphere\n# diameter_cm=8\n# period_ms=50\n"],
+    )
+    def test_edge_headers_match_line_loop(self, raw):
+        assert _outcome(read_session, raw) == _outcome(read_session_by_header_loop, raw)
+
+    def test_published_files_never_reach_the_line_loop(self, default_cohort, monkeypatch):
+        files = [format_session(session) for session in default_cohort]
+
+        def unreachable(text):
+            raise AssertionError("a sound session header went to the line loop")
+
+        monkeypatch.setattr(session_io, "_raise_header_fault", unreachable)
+        assert [read_session(data) for data in files] == default_cohort
+
+
+class TestReadBytes:
+    """read_bytes returns what open(path, "rb").read() returns, and raises
+    what open() raises."""
+
+    # An empty file, one chunk, and a 5,000-frame session of several chunks.
+    @pytest.mark.parametrize("n_frames", [None, 100, 5000])
+    def test_matches_buffered_read(self, tmp_path, n_frames):
+        path = tmp_path / "data.session"
+        if n_frames is None:
+            path.write_bytes(b"")
+        else:
+            write_session_file(make_session(n_frames=n_frames), path)
+        with open(path, "rb") as fh:
+            expected = fh.read()
+        assert len(expected) > _READ_CHUNK if n_frames == 5000 else len(expected) < _READ_CHUNK
+        assert read_bytes(path) == expected
+        assert read_bytes(str(path)) == expected
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_error_matches_open(self, tmp_path, kind):
+        path = tmp_path / "d.session"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(OSError) as expected:
+            open(path, "rb").close()
+        with pytest.raises(OSError) as got:
+            read_bytes(path)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))

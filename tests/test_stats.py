@@ -54,6 +54,13 @@ class TestSessionMean:
         for i in range(5):
             assert means[i] == math.fsum(f[1 + i] for f in frames) / 100
 
+    @given(st.lists(st.tuples(*[st.integers(0, 1023)] * 5), min_size=1, max_size=300))
+    def test_equals_fmean_bit_for_bit(self, counts):
+        frames = [(i, *row) for i, row in enumerate(counts)]
+        session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
+        expected = tuple(statistics.fmean(column) for column in list(zip(*counts)))
+        assert session_means(session, expected_frames=len(frames)) == expected
+
     @pytest.mark.parametrize("expected", [0, -3])
     def test_expected_frames_below_one_rejected(self, expected):
         with pytest.raises(ArgumentError, match="at least 1"):
@@ -237,7 +244,22 @@ class TestCollate:
     def test_single_user_cell_rejected(self):
         sessions = sweep_sessions("a", {6.0: 700, 8.0: 500}, Shape.SPHERE)
         sessions += sweep_sessions("b", {6.0: 700, 10.0: 500}, Shape.SPHERE)
-        with pytest.raises(PreconditionViolation, match=r"single contributing user; SEM is undefined"):
+        message = r"^cell \(sphere, 8, thumb\) has a single contributing user; SEM is undefined$"
+        with pytest.raises(PreconditionViolation, match=message):
+            build_cohort(sessions)
+
+    def test_single_diameter_names_user_shape_and_finger(self):
+        sessions = sweep_sessions("a", {6.0: 700, 8.0: 500}, Shape.SPHERE)
+        sessions += sweep_sessions("s03", {6.0: 700}, Shape.SPHERE)
+        message = r"^user s03, sphere, thumb: need at least 2 diameters, got 1$"
+        with pytest.raises(PreconditionViolation, match=message):
+            build_cohort(sessions)
+
+    def test_flat_channel_names_user_shape_and_finger(self):
+        sessions = sweep_sessions("a", {6.0: 700, 8.0: 500}, Shape.SPHERE)
+        sessions += sweep_sessions("s03", {6.0: 500, 8.0: 500}, Shape.SPHERE)
+        message = r"^user s03, sphere, thumb: all values equal 500\.0; channel looks flat$"
+        with pytest.raises(DegenerateRange, match=message):
             build_cohort(sessions)
 
     def test_default_sphere_cells_have_eleven_users(self, default_table):
