@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from typing import NamedTuple
 
@@ -31,8 +30,7 @@ class Centroid(NamedTuple):
     vector: tuple[float, float, float, float, float]
 
 
-@dataclass(frozen=True)
-class DiameterVerdict:
+class DiameterVerdict(NamedTuple):
     """Interval-overlap outcome for one common diameter."""
 
     diameter_cm: float
@@ -43,8 +41,7 @@ class DiameterVerdict:
         return any(not ov for ov in self.overlap_by_finger.values())
 
 
-@dataclass(frozen=True)
-class DiscriminabilityReport:
+class DiscriminabilityReport(NamedTuple):
     verdicts: list[DiameterVerdict]
     not_comparable: list[tuple[Shape, float]]
 

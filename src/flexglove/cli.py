@@ -73,6 +73,8 @@ def _sensor_from_args(args: argparse.Namespace) -> SensorConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """Create --out.  Each command calls this only once every output is
+    computed, so a command that fails leaves --out as it was."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -80,7 +82,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     sensor = _sensor_from_args(args)
-    out = _out_dir(args)
     rng = random.Random(args.seed)
 
     sweep_rows = []
@@ -90,14 +91,14 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         sweep_rows.append(
             [str(d), _fmt(sum(trials) / len(trials)), _fmt(sem(trials)), str(len(trials))]
         )
-    _write_csv(out / "sweep.csv", ["diameter_cm", "adc_mean", "adc_sem", "n_trials"], sweep_rows)
-
     clean = clean_adc_at_diameter(STABILITY_DIAMETER_CM, sensor)
     stability_rows = [
         [str(i), str(sample_with_noise(clean, rng, sensor))] for i in range(STABILITY_SAMPLES)
     ]
-    _write_csv(out / "stability.csv", ["sample_index", "adc"], stability_rows)
 
+    out = _out_dir(args)
+    _write_csv(out / "sweep.csv", ["diameter_cm", "adc_mean", "adc_sem", "n_trials"], sweep_rows)
+    _write_csv(out / "stability.csv", ["sample_index", "adc"], stability_rows)
     _write_manifest(out, "characterize", args, ["sweep.csv", "stability.csv"])
     return 0
 
@@ -122,7 +123,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sensor = _sensor_from_args(args)
     table = load_profile_table(args.profile_table) if args.profile_table else None
     diameters = _parse_diameters(args.diameters) if args.diameters else None
-    out = _out_dir(args)
 
     cohorts = []
     for shape, n_users, prefix, seed in (
@@ -132,6 +132,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         objects = [GraspObject(shape, d) for d in diameters] if diameters else default_objects(shape)
         cohorts.append(simulate_cohort(objects, n_users, seed, sensor, table, user_prefix=prefix))
 
+    out = _out_dir(args)
     names = []
     for sessions in cohorts:
         for session in sessions:
@@ -163,7 +164,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ParseError as exc:
         exc.args = (f"{name}: {exc}",)
         raise
-    out = _out_dir(args)
 
     table = build_cohort(sessions, expected_frames=args.expected_frames)
     cohort_rows = []
@@ -173,20 +173,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cohort_rows.append(
             [shape.value, f"{d:g}", finger, _fmt(st.mean), _fmt(st.sem), str(st.n)]
         )
-    _write_csv(
-        out / "cohort.csv", ["shape", "diameter_cm", "finger", "mean", "sem", "n"], cohort_rows
-    )
-
     fit_rows = [
         [shape.value, finger, name, _fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r2), str(n)]
         for shape, finger, name, fit, n in cohort_fits(table)
     ]
-    _write_csv(
-        out / "regression.csv",
-        ["shape", "finger", "fit_range", "slope_per_cm", "intercept", "r2", "n_points"],
-        fit_rows,
-    )
-
     report = discriminability(table)
     disc_rows = []
     for verdict in report.verdicts:
@@ -195,16 +185,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             + [str(verdict.overlap_by_finger[f]).lower() for f in FINGERS]
             + [str(verdict.discriminable).lower()]
         )
+    centroids = centroids_to_csv(build_centroids(table), scale_context(table))
+
+    out = _out_dir(args)
+    _write_csv(
+        out / "cohort.csv", ["shape", "diameter_cm", "finger", "mean", "sem", "n"], cohort_rows
+    )
+    _write_csv(
+        out / "regression.csv",
+        ["shape", "finger", "fit_range", "slope_per_cm", "intercept", "r2", "n_points"],
+        fit_rows,
+    )
     _write_csv(
         out / "discriminability.csv",
         ["diameter_cm"] + [f"{f}_overlap" for f in FINGERS] + ["discriminable"],
         disc_rows,
     )
-
-    (out / "centroids.csv").write_text(
-        centroids_to_csv(build_centroids(table), scale_context(table)), encoding="ascii", newline=""
-    )
-
+    (out / "centroids.csv").write_text(centroids, encoding="ascii", newline="")
     _write_manifest(
         out,
         "analyze",

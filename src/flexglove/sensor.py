@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ArgumentError, BendRangeError, DomainError, content_lines, finite_floats, read_ascii
 from .types import ADC_MAX
@@ -35,8 +35,7 @@ TAIL_DECAY_CM = 0.3
 MAX_NOISE_AMPLITUDE = 127
 
 
-@dataclass(frozen=True)
-class CalibrationCurve:
+class CalibrationCurve(namedtuple("CalibrationCurve", "r_flat r_min_diam d_knee d_tightest")):
     """Resistance-versus-bend-diameter model for one flex sensor.
 
     r_flat      resistance (ohm) of the unbent sensor, the asymptote as the
@@ -46,55 +45,49 @@ class CalibrationCurve:
     d_tightest  smallest bend diameter (cm) the sensor tolerates
     """
 
-    r_flat: float = 25_000.0
-    r_min_diam: float = 100_000.0
-    d_knee: float = 12.0
-    d_tightest: float = 5.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.r_flat < self.r_min_diam:
-            raise ArgumentError(
-                f"need r_min_diam > r_flat > 0, got {self.r_min_diam} / {self.r_flat}"
-            )
-        if not 0 < self.d_tightest < self.d_knee:
-            raise ArgumentError(
-                f"need d_knee > d_tightest > 0, got {self.d_knee} / {self.d_tightest}"
-            )
-        if self.d_knee - self.d_tightest <= STEEP_ZONE_WIDTH_CM:
+    def __new__(cls, r_flat=25_000.0, r_min_diam=100_000.0, d_knee=12.0, d_tightest=5.0):
+        if not 0 < r_flat < r_min_diam:
+            raise ArgumentError(f"need r_min_diam > r_flat > 0, got {r_min_diam} / {r_flat}")
+        if not 0 < d_tightest < d_knee:
+            raise ArgumentError(f"need d_knee > d_tightest > 0, got {d_knee} / {d_tightest}")
+        if d_knee - d_tightest <= STEEP_ZONE_WIDTH_CM:
             raise ArgumentError(
                 f"d_knee must sit more than {STEEP_ZONE_WIDTH_CM} cm above d_tightest"
             )
+        return tuple.__new__(cls, (r_flat, r_min_diam, d_knee, d_tightest))
+
+    # _replace builds through _make, so it runs the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SensorConfig:
+class SensorConfig(namedtuple("SensorConfig", "curve r_fixed vcc adc_levels noise_amplitude")):
     """One sensor channel: calibration curve, divider resistor and converter."""
 
-    curve: CalibrationCurve = field(default_factory=CalibrationCurve)
-    r_fixed: float = 47_000.0
-    vcc: float = 5.0
-    adc_levels: int = 1024
-    noise_amplitude: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.r_fixed > 0:
-            raise ArgumentError(f"r_fixed must be positive, got {self.r_fixed}")
-        if not self.vcc > 0:
-            raise ArgumentError(f"vcc must be positive, got {self.vcc}")
+    def __new__(
+        cls, curve=CalibrationCurve(), r_fixed=47_000.0, vcc=5.0, adc_levels=1024, noise_amplitude=1
+    ):
+        if not r_fixed > 0:
+            raise ArgumentError(f"r_fixed must be positive, got {r_fixed}")
+        if not vcc > 0:
+            raise ArgumentError(f"vcc must be positive, got {vcc}")
         # Session files carry 10-bit counts, so a wider converter would write
         # files that read_session rejects.
-        if int(self.adc_levels) != self.adc_levels or not 2 <= self.adc_levels <= ADC_MAX + 1:
+        if int(adc_levels) != adc_levels or not 2 <= adc_levels <= ADC_MAX + 1:
             raise ArgumentError(
-                f"adc_levels must be an integer in 2..{ADC_MAX + 1}, got {self.adc_levels}"
+                f"adc_levels must be an integer in 2..{ADC_MAX + 1}, got {adc_levels}"
             )
-        if (
-            int(self.noise_amplitude) != self.noise_amplitude
-            or not 0 <= self.noise_amplitude <= MAX_NOISE_AMPLITUDE
-        ):
+        if int(noise_amplitude) != noise_amplitude or not 0 <= noise_amplitude <= MAX_NOISE_AMPLITUDE:
             raise ArgumentError(
                 f"noise_amplitude must be an integer in 0..{MAX_NOISE_AMPLITUDE}, "
-                f"got {self.noise_amplitude}"
+                f"got {noise_amplitude}"
             )
+        return tuple.__new__(cls, (curve, r_fixed, vcc, adc_levels, noise_amplitude))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def resistance_at_diameter(d: float, curve: CalibrationCurve) -> float:
@@ -103,22 +96,21 @@ def resistance_at_diameter(d: float, curve: CalibrationCurve) -> float:
     Non-increasing in ``d``; exactly ``r_min_diam`` at the tightest bend and
     approaching ``r_flat`` as the bend opens toward a straight sensor.
     """
-    if d < curve.d_tightest:
-        raise BendRangeError(
-            f"bend diameter {d} cm below sensor minimum {curve.d_tightest} cm"
-        )
-    swing = curve.r_min_diam - curve.r_flat
+    r_flat, r_min_diam, d_knee, d_tightest = curve
+    if d < d_tightest:
+        raise BendRangeError(f"bend diameter {d} cm below sensor minimum {d_tightest} cm")
+    swing = r_min_diam - r_flat
     residual = KNEE_RESIDUAL_FRACTION * swing
     shallow_drop = SHALLOW_DROP_FRACTION * swing
     steep_drop = swing - shallow_drop - residual
-    steep_start = curve.d_knee - STEEP_ZONE_WIDTH_CM
+    steep_start = d_knee - STEEP_ZONE_WIDTH_CM
     if d <= steep_start:
-        frac = (d - curve.d_tightest) / (steep_start - curve.d_tightest)
-        return curve.r_min_diam - shallow_drop * frac
-    if d <= curve.d_knee:
+        frac = (d - d_tightest) / (steep_start - d_tightest)
+        return r_min_diam - shallow_drop * frac
+    if d <= d_knee:
         frac = (d - steep_start) / STEEP_ZONE_WIDTH_CM
-        return curve.r_min_diam - shallow_drop - steep_drop * frac
-    return curve.r_flat + residual * math.exp(-(d - curve.d_knee) / TAIL_DECAY_CM)
+        return r_min_diam - shallow_drop - steep_drop * frac
+    return r_flat + residual * math.exp(-(d - d_knee) / TAIL_DECAY_CM)
 
 
 def divider_voltage(r_flex: float, cfg: SensorConfig) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import ArgumentError, DomainError, content_lines, finite_floats, read_ascii
@@ -60,8 +59,7 @@ DEFAULT_PROFILE_TABLE: dict[tuple[str, Shape], FingerProfile] = {
 }
 
 
-@dataclass(frozen=True)
-class HandProfile:
+class HandProfile(NamedTuple):
     """One user's concrete bend mapping: (finger, shape) -> (gain, offset)."""
 
     user_id: str

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-import statistics
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ArgumentError, DegenerateRange, PreconditionViolation
 from .types import FINGERS, GraspSession, Shape
@@ -23,8 +21,7 @@ CellKey = tuple[Shape, float, str]  # (shape, diameter_cm, finger)
 SUBRANGE_ABOVE_CM = 10.0
 
 
-@dataclass(frozen=True)
-class FingerStats:
+class FingerStats(NamedTuple):
     """Cohort summary of one (shape, diameter, finger) cell."""
 
     mean: float
@@ -32,14 +29,12 @@ class FingerStats:
     n: int
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     slope: float
     intercept: float
     r2: float
 
 
-@dataclass
 class CohortTable:
     """Per-cell normalized user values plus the raw scale used to build them.
 
@@ -50,11 +45,14 @@ class CohortTable:
     arrive without a full diameter sweep.
     """
 
-    values: dict[CellKey, tuple[float, ...]]
-    raw_scale: dict[Shape, tuple[tuple[float, ...], tuple[float, ...]]] = field(default_factory=dict)
-    _stats: dict[CellKey, FingerStats] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        values: dict[CellKey, tuple[float, ...]],
+        raw_scale: dict[Shape, tuple[tuple[float, ...], tuple[float, ...]]] | None = None,
+    ):
+        self.values = values
+        self.raw_scale = {} if raw_scale is None else raw_scale
+        self._stats: dict[CellKey, FingerStats] = {}
 
     def stats(self, key: CellKey) -> FingerStats:
         """Mean, SEM and n of one cell.
@@ -67,7 +65,7 @@ class CohortTable:
             return self._stats[key]
         except KeyError:
             vals = self.values[key]
-            summary = FingerStats(mean=statistics.fmean(vals), sem=sem(vals), n=len(vals))
+            summary = FingerStats(mean=math.fsum(vals) / len(vals), sem=sem(vals), n=len(vals))
             self._stats[key] = summary
             return summary
 
@@ -91,7 +89,7 @@ def session_means(session: GraspSession, expected_frames: int = 100) -> tuple[fl
             f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
             f"has {len(session.frames)} frames, expected {expected_frames}"
         )
-    # sum/len of an int column is the float statistics.fmean gives, in less time.
+    # sum/len of an int column is the float math.fsum(c) / len(c) gives, in less time.
     return tuple([sum(c) / len(c) for c in list(zip(*session.frames))[1:]])
 
 
@@ -152,8 +150,16 @@ def linear_fit(points: Sequence[tuple[float, float]]) -> RegressionFit:
         raise PreconditionViolation("linear fit needs at least 2 distinct x values")
     xs = [float(x) for x, _ in points]
     ys = [float(y) for _, y in points]
-    slope, intercept = statistics.linear_regression(xs, ys)
-    y_bar = statistics.fmean(ys)
+    # The least-squares line as CPython 3.11's statistics module computes it;
+    # 3.13's sums with math.sumprod, which can change the last bit.
+    x_bar = math.fsum(xs) / len(xs)
+    y_bar = math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    sxx = math.fsum((d := x - x_bar) * d for x in xs)
+    if not sxx:
+        raise PreconditionViolation("linear fit x values too close: their spread underflows")
+    slope = sxy / sxx
+    intercept = y_bar - slope * x_bar
     ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     ss_tot = math.fsum((y - y_bar) ** 2 for y in ys)
     if ss_tot == 0.0:
@@ -215,7 +221,7 @@ def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = 100) -
     return CohortTable(
         values={k: tuple(v) for k, v in cells.items()},
         raw_scale={
-            shape: tuple(tuple(map(statistics.fmean, zip(*rows))) for rows in pair)
+            shape: tuple(tuple([math.fsum(c) / len(c) for c in zip(*rows)]) for rows in pair)
             for shape, pair in extremes.items()
         },
     )

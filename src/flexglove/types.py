@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import ArgumentError
 
@@ -14,11 +15,6 @@ from .errors import ArgumentError
 FINGERS: tuple[str, ...] = ("thumb", "index", "middle", "ring", "pinky")
 
 ADC_MAX = 1023  # 10-bit converter ceiling
-
-# Object diameters the default cohorts cover; anything outside is usable but
-# counts as extrapolation.
-COHORT_DIAMETER_MIN_CM = 6.0
-COHORT_DIAMETER_MAX_CM = 16.0
 
 
 class Shape(str, enum.Enum):
@@ -31,28 +27,22 @@ class Shape(str, enum.Enum):
 SHAPE_BY_NAME: dict[str, Shape] = {shape.value: shape for shape in Shape}
 
 
-@dataclass(frozen=True)
-class GraspObject:
+class GraspObject(namedtuple("GraspObject", "shape diameter_cm")):
     """A graspable test object: a sphere or cylinder of known diameter."""
 
-    shape: Shape
-    diameter_cm: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "diameter_cm", float(self.diameter_cm))
-        if not (self.diameter_cm > 0 and math.isfinite(self.diameter_cm)):
-            raise ArgumentError(
-                f"object diameter must be positive and finite, got {self.diameter_cm}"
-            )
+    def __new__(cls, shape: Shape, diameter_cm: float):
+        diameter_cm = float(diameter_cm)
+        if not (diameter_cm > 0 and math.isfinite(diameter_cm)):
+            raise ArgumentError(f"object diameter must be positive and finite, got {diameter_cm}")
+        return tuple.__new__(cls, (shape, diameter_cm))
 
-    @property
-    def in_cohort_range(self) -> bool:
-        """False when classifying/simulating this object is extrapolation."""
-        return COHORT_DIAMETER_MIN_CM <= self.diameter_cm <= COHORT_DIAMETER_MAX_CM
+    # _replace builds through _make, so it runs the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass
-class GraspSession:
+class GraspSession(NamedTuple):
     """A recorded grasp: an object, a user, and an ordered frame sequence.
     Each frame is its wire record as six ints, (t_ms, thumb, index, middle,
     ring, pinky): a timestamp, then one ADC count per finger."""

@@ -813,3 +813,53 @@ class TestExitCodes:
         assert code == 5
         assert err.startswith("IoError: ")
         assert str(tmp_path) in err
+
+
+def zero_sphere_users(tmp_path):
+    return ["simulate", "--users-sphere", "0"]
+
+
+def bend_below_sensor_minimum(tmp_path):
+    # The sweep reaches 5 cm, below this sensor's tightest bend.
+    config = tmp_path / "tight.cfg"
+    config.write_text("d_tightest = 6.0\n")
+    return ["characterize", "--config", config]
+
+
+def single_user_cells(tmp_path):
+    sessions = tmp_path / "solo"
+    assert run(
+        "simulate", "--out", sessions, "--users-sphere", "1", "--users-cylinder", "1", "--diameters", "6,8"
+    ) == 0
+    return ["analyze", sessions]
+
+
+def spheres_only(tmp_path):
+    # cohort.csv and regression.csv can be computed; discriminability cannot.
+    sessions = tmp_path / "spheres"
+    assert run(
+        "simulate", "--out", sessions, "--users-sphere", "2", "--users-cylinder", "2", "--diameters", "6,8"
+    ) == 0
+    for path in sessions.glob("cylinder_*.session"):
+        path.unlink()
+    return ["analyze", sessions]
+
+
+def snapshot(directory):
+    """Each file in ``directory`` by name with its bytes, or None when there is no directory."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else None
+
+
+@pytest.mark.parametrize("earlier_run", [False, True])
+@pytest.mark.parametrize(
+    "failing, code",
+    [(zero_sphere_users, 2), (bend_below_sensor_minimum, 2), (single_user_cells, 4), (spheres_only, 4)],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_failed_command_leaves_out_as_it_was(tmp_path, failing, code, earlier_run, small_cohort_dir):
+    out = tmp_path / "out"
+    if earlier_run:
+        assert run("analyze", small_cohort_dir, "--out", out) == 0
+    before = snapshot(out)
+    assert run_quietly(*failing(tmp_path), "--out", out)[0] == code
+    assert snapshot(out) == before

@@ -169,11 +169,6 @@ class TestCohort:
         assert 10.0 not in diameters
         assert len(diameters) == 10
 
-    def test_out_of_sweep_objects_flagged_as_extrapolation(self):
-        assert GraspObject(Shape.SPHERE, 9.0).in_cohort_range
-        assert not GraspObject(Shape.SPHERE, 20.0).in_cohort_range
-        assert not GraspObject(Shape.CYLINDER, 5.5).in_cohort_range
-
     def test_zero_users_rejected(self):
         with pytest.raises(ArgumentError):
             simulate_cohort(default_objects(Shape.SPHERE), 0, 2020, SENSOR)

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from flexglove import (
     GraspSession,
     PreconditionViolation,
     Shape,
+    CohortTable,
     build_cohort,
+    cohort_fits,
     intervals_overlap,
     linear_fit,
     min_max_normalize,
@@ -172,6 +175,11 @@ class TestSem:
             assert sem(values) == pytest.approx(sem_oracle(values), abs=1e-12)
 
 
+# Diameters and cell means lie far inside this range, and no product of two
+# values in it overflows.
+FIT_FLOATS = st.floats(min_value=-1e6, max_value=1e6)
+
+
 class TestLinearFit:
     def test_exact_line(self):
         fit = linear_fit([(1, 1), (2, 2), (3, 3)])
@@ -213,6 +221,24 @@ class TestLinearFit:
             assert fit.intercept == pytest.approx(intercept, abs=1e-9)
             assert fit.r2 == pytest.approx(r2, abs=1e-9)
 
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="3.13's statistics sums with math.sumprod")
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(FIT_FLOATS, FIT_FLOATS), min_size=2, max_size=20, unique_by=lambda p: p[0]))
+    def test_bit_identical_to_statistics_linear_regression(self, points):
+        xs, ys = zip(*points)
+        try:
+            expected = statistics.linear_regression(xs, ys)
+        except statistics.StatisticsError:  # x values whose spread underflows
+            with pytest.raises(PreconditionViolation):
+                linear_fit(points)
+        else:
+            fit = linear_fit(points)
+            assert (fit.slope, fit.intercept) == tuple(expected)
+
+    def test_underflowing_x_spread_rejected(self):
+        with pytest.raises(PreconditionViolation, match="spread underflows"):
+            linear_fit([(0.0, 1.0), (5e-324, 2.0)])
+
     def test_matches_numpy(self):
         rng = random.Random(21)
         for _ in range(50):
@@ -240,6 +266,11 @@ class TestCollate:
         st_ = table.stats(key)
         assert st_.mean == pytest.approx(0.5)
         assert st_.n == 2
+
+    @given(st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=30))
+    def test_mean_equals_fmean_bit_for_bit(self, values):
+        key = (Shape.SPHERE, 8.0, "thumb")
+        assert CohortTable({key: tuple(values)}).stats(key).mean == statistics.fmean(values)
 
     def test_single_user_cell_rejected(self):
         sessions = sweep_sessions("a", {6.0: 700, 8.0: 500}, Shape.SPHERE)
@@ -312,8 +343,8 @@ class TestBuildCohort:
         assert table.raw_scale == {Shape.SPHERE: ((302.5,) * 5, (702.5,) * 5)}
 
     def test_default_cohort_floats_are_pinned(self, default_table):
-        """The seed-2020 cells and raw scale, to the last bit: the golden CSVs
-        round to six decimals."""
+        """The seed-2020 cells, raw scale and fits, to the last bit: the golden
+        CSVs round to six decimals."""
         values = repr(sorted((shape.value, d, f, vals) for (shape, d, f), vals in default_table.values.items()))
         assert hashlib.sha256(values.encode()).hexdigest() == (
             "6ffdd73e6c3c01baa3297276783862ef2070db53c6cffab81754e6b8963f6e02"
@@ -325,6 +356,13 @@ class TestBuildCohort:
         ]
         assert hashlib.sha256(repr(scale).encode()).hexdigest() == (
             "0abebfd3add47560de26c23f27fcc645aa5ba83c692c58e333a5d2e8d4a31615"
+        )
+        fits = [
+            (shape.value, finger, name, fit.slope, fit.intercept, fit.r2)
+            for shape, finger, name, fit, _ in cohort_fits(default_table)
+        ]
+        assert hashlib.sha256(repr(fits).encode()).hexdigest() == (
+            "f552738b3e6fe07b87f063ab0d96ce020a28a5152a33a7e6515b6bd31fd97961"
         )
 
     def test_duplicate_session_rejected(self):

@@ -1,11 +1,13 @@
 """The runtime imports nothing outside the standard library and the package."""
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "flexglove").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "flexglove").glob("*.py"))
 
 
 def imported_modules(tree: ast.AST) -> list[str]:
@@ -36,3 +38,17 @@ def test_imports_are_stdlib_or_package(path):
 def test_guard_flags_a_third_party_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom .errors import ArgumentError\nfrom yaml import safe_load\n")
     assert [n for n in imported_modules(tree) if n not in sys.stdlib_module_names] == ["numpy", "yaml"]
+
+
+def test_cli_import_loads_no_slow_stdlib_module():
+    """dataclasses (through inspect) and statistics (through fractions and
+    decimal) cost ~20 ms of every command's start-up.  -I keeps the
+    environment's PYTHONPATH out and -B keeps __pycache__ out of src/."""
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import flexglove.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'statistics'} & sys.modules.keys()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
