@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import ArgumentError, PreconditionViolation, content_lines, finite_floats
 from .stats import CohortTable, intervals_overlap, session_means
-from .types import FINGERS, SHAPE_BY_NAME, GraspSession, Shape
+from .types import DEFAULT_FRAME_COUNT, FINGERS, SHAPE_BY_NAME, GraspSession, Shape
 
 # A new session has no diameter sweep of its own, so min-max normalization is
 # impossible per-user.  Classification instead reuses the training cohort's
@@ -67,8 +67,8 @@ def discriminability(table: CohortTable) -> DiscriminabilityReport:
     for d in common:
         overlap = {
             finger: intervals_overlap(
-                table.stats((Shape.SPHERE, d, finger)),
-                table.stats((Shape.CYLINDER, d, finger)),
+                table.summary[(Shape.SPHERE, d, finger)],
+                table.summary[(Shape.CYLINDER, d, finger)],
             )
             for finger in FINGERS
         }
@@ -88,7 +88,7 @@ def build_centroids(table: CohortTable) -> list[Centroid]:
     centroids = []
     for shape in table.shapes():
         for d in table.diameters(shape):
-            vector = tuple(table.stats((shape, d, finger)).mean for finger in FINGERS)
+            vector = tuple(table.summary[(shape, d, finger)].mean for finger in FINGERS)
             centroids.append(Centroid(shape=shape, diameter_cm=d, vector=vector))
     return centroids
 
@@ -114,7 +114,7 @@ def classify_session(
     session: GraspSession,
     centroids: list[Centroid],
     context: ScaleContext,
-    expected_frames: int = 100,
+    expected_frames: int = DEFAULT_FRAME_COUNT,
 ) -> tuple[Shape, float, float]:
     """Assign a session to the nearest centroid in normalized finger space.
 

@@ -32,7 +32,7 @@ from .simulate import (
     simulate_cohort,
 )
 from .stats import build_cohort, cohort_fits, sem
-from .types import FINGERS, GraspObject, Shape, default_objects
+from .types import DEFAULT_FRAME_COUNT, FINGERS, GraspObject, Shape, default_objects
 
 DEFAULT_SEED = 2020
 
@@ -166,13 +166,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise
 
     table = build_cohort(sessions, expected_frames=args.expected_frames)
-    cohort_rows = []
-    for key in table.cells():
-        shape, d, finger = key
-        st = table.stats(key)
-        cohort_rows.append(
-            [shape.value, f"{d:g}", finger, _fmt(st.mean), _fmt(st.sem), str(st.n)]
-        )
+    cohort_rows = [
+        [shape.value, f"{d:g}", finger, _fmt(st.mean), _fmt(st.sem), str(st.n)]
+        for (shape, d, finger), st in table.summary.items()
+    ]
     fit_rows = [
         [shape.value, finger, name, _fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r2), str(n)]
         for shape, finger, name, fit, n in cohort_fits(table)
@@ -247,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="summarize a directory of session files")
     p.add_argument("sessions", help="directory of .session files")
     p.add_argument("--out", required=True)
-    p.add_argument("--expected-frames", type=int, default=100)
+    p.add_argument("--expected-frames", type=int, default=DEFAULT_FRAME_COUNT)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", help="classify one session against saved centroids")
     p.add_argument("session", help="session file")
     p.add_argument("centroids", help="centroid CSV from analyze")
-    p.add_argument("--expected-frames", type=int, default=100)
+    p.add_argument("--expected-frames", type=int, default=DEFAULT_FRAME_COUNT)
     p.set_defaults(func=cmd_classify)
 
     return parser

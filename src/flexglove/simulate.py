@@ -16,10 +16,7 @@ from .errors import ArgumentError, DomainError, content_lines, finite_floats, re
 # sample_with_noise is not called here but stays importable from this module:
 # bench/layers.py traces it under this name.
 from .sensor import SensorConfig, clean_adc_at_diameter, sample_with_noise  # noqa: F401
-from .types import FINGERS, SHAPE_BY_NAME, GraspObject, GraspSession, Shape
-
-DEFAULT_FRAME_COUNT = 100
-DEFAULT_PERIOD_MS = 50
+from .types import DEFAULT_FRAME_COUNT, DEFAULT_PERIOD_MS, FINGERS, SHAPE_BY_NAME, GraspObject, GraspSession, Shape
 
 DEFAULT_SPHERE_USERS = 11
 DEFAULT_CYLINDER_USERS = 8
@@ -156,9 +153,6 @@ def simulate_session(
         raise ArgumentError("need n_frames >= 0")
     clean = tuple(clean_finger_adc(obj, finger, profile, sensor) for finger in FINGERS)
     top = sensor.adc_levels - 1
-    for count in clean:
-        if not 0 <= count <= top:
-            raise DomainError(f"count {count} outside 0..{top}")
     amp = int(sensor.noise_amplitude)
     stamps = range(0, n_frames * DEFAULT_PERIOD_MS, DEFAULT_PERIOD_MS)
     # The noise stream every simulated file rests on: one Random(seed) per

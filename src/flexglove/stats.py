@@ -1,10 +1,11 @@
-"""Session averaging, per-user min-max normalization, cohort collation,
+"""Session averaging, per-user min-max normalization, per-cell summaries,
 standard errors and linear fits.
 
-The pipeline: average each finger's 100 in-session samples to one raw value,
+The pipeline: average each finger's in-session samples to one raw value,
 rescale each user's raw values to [0, 1] across that user's diameter sweep
-(per finger, per shape), then collate across users so each (shape, diameter,
-finger) cell carries a mean, an SEM and the contributing values.
+(per finger, per shape), then gather each (shape, diameter, finger) cell's
+values, one per user, into a CohortTable, which summarizes every cell once
+as a mean, an SEM and a count.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import operator
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ArgumentError, DegenerateRange, PreconditionViolation
-from .types import FINGERS, GraspSession, Shape
+from .types import DEFAULT_FRAME_COUNT, FINGERS, GraspSession, Shape
 
 CellKey = tuple[Shape, float, str]  # (shape, diameter_cm, finger)
 
@@ -36,13 +37,17 @@ class RegressionFit(NamedTuple):
 
 
 class CohortTable:
-    """Per-cell normalized user values plus the raw scale used to build them.
+    """Per-cell normalized user values, their summaries, and the raw scale
+    used to build them.
 
     ``values`` maps (shape, diameter, finger) to the per-user normalized
-    values, in user id order.  ``raw_scale`` maps each shape to ``(lows,
-    highs)``: the cohort-average raw minimum and maximum session means, each a
-    5-tuple in FINGERS order; classifiers reuse it to normalize sessions that
-    arrive without a full diameter sweep.
+    values, in user id order.  ``summary`` maps the same keys, in ``cells()``
+    order, to each cell's FingerStats; the constructor computes it, one
+    ``stats`` call per cell, so a cell of fewer than two values raises there.
+    ``raw_scale`` maps each shape to ``(lows, highs)``: the cohort-average raw
+    minimum and maximum session means, each a 5-tuple in FINGERS order;
+    classifiers reuse it to normalize sessions that arrive without a full
+    diameter sweep.
     """
 
     def __init__(
@@ -52,22 +57,13 @@ class CohortTable:
     ):
         self.values = values
         self.raw_scale = {} if raw_scale is None else raw_scale
-        self._stats: dict[CellKey, FingerStats] = {}
+        self.summary: dict[CellKey, FingerStats] = {key: self.stats(key) for key in self.cells()}
 
     def stats(self, key: CellKey) -> FingerStats:
-        """Mean, SEM and n of one cell.
-
-        Each cell is summarized once, on first request, and the result is
-        reused: fits, discriminability, centroids and the cohort CSV all ask
-        for the same cells.  ``values`` must not change after the first call.
-        """
-        try:
-            return self._stats[key]
-        except KeyError:
-            vals = self.values[key]
-            summary = FingerStats(mean=math.fsum(vals) / len(vals), sem=sem(vals), n=len(vals))
-            self._stats[key] = summary
-            return summary
+        """Mean, SEM and n of one cell.  The SEM comes first: it rejects a cell
+        of fewer than two values before the mean can divide by zero."""
+        vals = self.values[key]
+        return FingerStats(sem=sem(vals), mean=math.fsum(vals) / len(vals), n=len(vals))
 
     def shapes(self) -> list[Shape]:
         return sorted({k[0] for k in self.values}, key=lambda s: s.value)
@@ -79,7 +75,7 @@ class CohortTable:
         return sorted(self.values, key=lambda k: (k[0].value, k[1], FINGERS.index(k[2])))
 
 
-def session_means(session: GraspSession, expected_frames: int = 100) -> tuple[float, ...]:
+def session_means(session: GraspSession, expected_frames: int = DEFAULT_FRAME_COUNT) -> tuple[float, ...]:
     """Mean raw count of each finger, in FINGERS order, over a session of the
     expected length."""
     if expected_frames < 1:
@@ -176,9 +172,9 @@ def intervals_overlap(a: FingerStats, b: FingerStats) -> bool:
 
 # --- session-level pipeline ---------------------------------------------------
 
-def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = 100) -> CohortTable:
-    """Run the full averaging/normalization/collation pipeline over sessions,
-    users in id order.
+def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = DEFAULT_FRAME_COUNT) -> CohortTable:
+    """Average and normalize every session, users in id order, and gather
+    each cell's values into a CohortTable.
 
     Every cell must collect at least two users: SEM over a single value is
     undefined and a zero-width interval would make discriminability vacuous.
@@ -244,6 +240,6 @@ def cohort_fits(table: CohortTable) -> list[tuple[Shape, str, str, RegressionFit
             for name, span in spans:
                 if len(span) < 2:
                     continue
-                points = [(d, table.stats((shape, d, finger)).mean) for d in span]
+                points = [(d, table.summary[(shape, d, finger)].mean) for d in span]
                 rows.append((shape, finger, name, linear_fit(points), len(points)))
     return rows

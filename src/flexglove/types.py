@@ -16,6 +16,10 @@ FINGERS: tuple[str, ...] = ("thumb", "index", "middle", "ring", "pinky")
 
 ADC_MAX = 1023  # 10-bit converter ceiling
 
+# A session as the device records it: frames per session, ms between frames.
+DEFAULT_FRAME_COUNT = 100
+DEFAULT_PERIOD_MS = 50
+
 
 class Shape(str, enum.Enum):
     SPHERE = "sphere"
@@ -50,7 +54,7 @@ class GraspSession(NamedTuple):
     user_id: str
     obj: GraspObject
     frames: list[tuple[int, int, int, int, int, int]]
-    sample_period_ms: int = 50
+    sample_period_ms: int = DEFAULT_PERIOD_MS
 
 
 def default_objects(shape: Shape) -> list[GraspObject]:

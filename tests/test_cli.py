@@ -12,6 +12,8 @@ from flexglove.cli import main
 from flexglove.sensor import SensorConfig, format_config
 from flexglove.session_io import write_session_file
 from flexglove.simulate import DEFAULT_PROFILE_TABLE, format_profile_table
+from flexglove.stats import CohortTable
+from flexglove.types import SHAPE_BY_NAME
 
 
 def read_csv(path):
@@ -224,6 +226,25 @@ class TestAnalyze:
         assert [r[0] for r in rows] == ["6", "8", "10"]
         assert (out / "centroids.csv").exists()
         assert json.loads((out / "manifest.json").read_text())["command"] == "analyze"
+
+    def test_each_cell_is_summarized_once(self, tmp_path, monkeypatch):
+        sessions, out = tmp_path / "sessions", tmp_path / "analysis"
+        assert run(
+            "simulate", "--out", sessions, "--users-sphere", "2", "--users-cylinder", "2",
+            "--diameters", "6,8,10",
+        ) == 0
+        calls = []
+        stats = CohortTable.stats
+
+        def counted(table, key):
+            calls.append(key)
+            return stats(table, key)
+
+        monkeypatch.setattr(CohortTable, "stats", counted)
+        assert run("analyze", sessions, "--out", out) == 0
+        _, rows = read_csv(out / "cohort.csv")
+        assert len(rows) == 2 * 3 * 5
+        assert calls == [(SHAPE_BY_NAME[shape], float(d), finger) for shape, d, finger, *_ in rows]
 
     def test_rerun_is_byte_identical(self, small_cohort_dir, tmp_path):
         a, b = tmp_path / "a1", tmp_path / "a2"

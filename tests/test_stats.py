@@ -272,6 +272,21 @@ class TestCollate:
         key = (Shape.SPHERE, 8.0, "thumb")
         assert CohortTable({key: tuple(values)}).stats(key).mean == statistics.fmean(values)
 
+    def test_summary_is_stats_of_every_cell_in_cells_order(self):
+        table = CohortTable({
+            (Shape.SPHERE, 8.0, "thumb"): (0.1, 0.3, 0.8),
+            (Shape.CYLINDER, 8.0, "pinky"): (0.2, 0.4),
+            (Shape.SPHERE, 6.0, "index"): (1.0, 0.5),
+            (Shape.SPHERE, 6.0, "thumb"): (0.0, 0.25),
+        })
+        assert list(table.summary) == table.cells() != list(table.values)
+        assert list(table.summary.values()) == [table.stats(k) for k in table.cells()]
+
+    @pytest.mark.parametrize("values", [(0.5,), ()], ids=["one value", "no value"])
+    def test_short_cell_raises_at_construction(self, values):
+        with pytest.raises(PreconditionViolation, match=rf"^SEM needs n >= 2, got {len(values)}$"):
+            CohortTable({(Shape.SPHERE, 8.0, "thumb"): values})
+
     def test_single_user_cell_rejected(self):
         sessions = sweep_sessions("a", {6.0: 700, 8.0: 500}, Shape.SPHERE)
         sessions += sweep_sessions("b", {6.0: 700, 10.0: 500}, Shape.SPHERE)

@@ -21,6 +21,23 @@ def imported_modules(tree: ast.AST) -> list[str]:
     return names
 
 
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Names that ``tree`` imports, __future__ features aside, and never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+# The one import kept unread: bench/layers.py traces noise draws through
+# flexglove.simulate.sample_with_noise.
+UNUSED_ON_PURPOSE = {"simulate.py": ["sample_with_noise"]}
+
+
 def test_sources_found():
     assert len(SOURCES) > 1
 
@@ -33,6 +50,20 @@ def test_imports_are_stdlib_or_package(path):
         if name not in sys.stdlib_module_names and name != "flexglove"
     ]
     assert foreign == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == UNUSED_ON_PURPOSE.get(path.name, [])
+
+
+def test_guard_flags_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path, sys\n"
+        "from math import fsum, isqrt as root\nprint(os.sep, fsum)\n"
+    )
+    assert unused_imports(tree) == ["sys", "root"]
 
 
 def test_guard_flags_a_third_party_import():
