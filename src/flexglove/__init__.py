@@ -36,6 +36,7 @@ from .sensor import (
     adc_to_voltage,
     clean_adc_at_diameter,
     divider_voltage,
+    noise_draws,
     quantize,
     resistance_at_diameter,
     sample_with_noise,

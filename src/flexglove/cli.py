@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .classify import build_centroids, centroids_from_csv, centroids_to_csv, classify_session, discriminability, scale_context
 from .errors import ArgumentError, DegenerateRange, GloveError, ParseError, PreconditionViolation, read_ascii
-from .sensor import SensorConfig, clean_adc_at_diameter, load_config, sample_with_noise
+from .sensor import SensorConfig, clean_adc_at_diameter, load_config, noise_draws, sample_with_noise
 from .session_io import read_session_file, write_session_file
 from .simulate import (
     DEFAULT_CYLINDER_USERS,
@@ -82,18 +82,22 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     sensor = _sensor_from_args(args)
-    rng = random.Random(args.seed)
+    diameters = range(SWEEP_START_CM, SWEEP_END_CM - 1, -1)
+    # One draw: SWEEP_TRIALS offsets per diameter from the widest bend down,
+    # then the stability stream.
+    n_sweep = SWEEP_TRIALS * len(diameters)
+    draws = noise_draws(random.Random(args.seed), sensor, n_sweep + STABILITY_SAMPLES)
 
     sweep_rows = []
-    for d in range(SWEEP_START_CM, SWEEP_END_CM - 1, -1):
+    for i, d in enumerate(diameters):
         clean = clean_adc_at_diameter(float(d), sensor)
-        trials = [sample_with_noise(clean, rng, sensor) for _ in range(SWEEP_TRIALS)]
+        trials = sample_with_noise(clean, draws[i * SWEEP_TRIALS:(i + 1) * SWEEP_TRIALS], sensor)
         sweep_rows.append(
             [str(d), _fmt(sum(trials) / len(trials)), _fmt(sem(trials)), str(len(trials))]
         )
     clean = clean_adc_at_diameter(STABILITY_DIAMETER_CM, sensor)
     stability_rows = [
-        [str(i), str(sample_with_noise(clean, rng, sensor))] for i in range(STABILITY_SAMPLES)
+        [str(i), str(v)] for i, v in enumerate(sample_with_noise(clean, draws[n_sweep:], sensor))
     ]
 
     out = _out_dir(args)

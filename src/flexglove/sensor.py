@@ -8,6 +8,7 @@ one-count flicker a real converter shows on a static input.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import namedtuple
@@ -29,9 +30,8 @@ SHALLOW_DROP_FRACTION = 0.48
 KNEE_RESIDUAL_FRACTION = 0.008
 TAIL_DECAY_CM = 0.3
 
-# The simulator takes each noise draw from one byte of the generator's output
-# (simulate._noise_draws); a byte holds the 2 * amplitude + 1 values of a draw
-# up to this amplitude.
+# noise_draws takes each draw from one byte of the generator's output; a byte
+# holds the 2 * amplitude + 1 values of a draw up to this amplitude.
 MAX_NOISE_AMPLITUDE = 127
 
 
@@ -151,16 +151,45 @@ def adc_to_voltage(adc: int, cfg: SensorConfig) -> float:
     return adc * cfg.vcc / cfg.adc_levels
 
 
-def sample_with_noise(clean_adc: int, rng: random.Random, cfg: SensorConfig) -> int:
-    """One noisy reading: the clean count plus a uniform integer in +-amplitude.
+@functools.cache
+def _draw_tables(span: int) -> tuple[bytes, bytes]:
+    """The translate table from a top byte to its top k bits, and the rejected values."""
+    k = span.bit_length()
+    return bytes(b >> (8 - k) for b in range(256)), bytes(range(span, 1 << k))
 
-    Deterministic for a given RNG state; clamped to the converter range.
+
+def noise_draws(rng: random.Random, cfg: SensorConfig, count: int) -> bytes:
+    """The next ``count`` noise offsets from ``rng``, each in 0..2 * amplitude.
+
+    The stream every noisy reading rests on: exactly the values of
+    rng.randrange(2 * amplitude + 1) drawn one at a time, that is a run of
+    32-bit MT words, the top k = span.bit_length() bits of each a draw, values
+    >= span rejected (amplitude 0 draws 0s).  getrandbits(32 * m) returns m
+    words least significant first, so byte 3 of each little-endian 4-byte group
+    is a word's top byte, which holds those k <= 8 bits.  The last call's
+    unused words are lost, so one call for n + m offsets is not two calls.
     """
-    if not 0 <= clean_adc <= cfg.adc_levels - 1:
-        raise DomainError(f"count {clean_adc} outside 0..{cfg.adc_levels - 1}")
+    span = 2 * int(cfg.noise_amplitude) + 1
+    top_bits, rejected = _draw_tables(span)
+    k = span.bit_length()
+    draws = b""
+    while len(draws) < count:
+        # An eighth more words than the draws still owed need on average,
+        # so a second pass is rare.
+        words = ((count - len(draws)) << k) // span * 9 // 8 + 1
+        top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        # Two calls: translate(table, delete) would delete on the input bytes.
+        draws += top_bytes.translate(top_bits).translate(None, rejected)
+    return draws[:count]
+
+
+def sample_with_noise(clean_adc: int, draws: bytes, cfg: SensorConfig) -> list[int]:
+    """One noisy reading per offset r of ``draws``: the clean count plus
+    r - amplitude, clamped to the converter range."""
     amp = int(cfg.noise_amplitude)
-    noisy = clean_adc if amp == 0 else clean_adc + rng.randint(-amp, amp)
-    return max(0, min(noisy, cfg.adc_levels - 1))
+    top = cfg.adc_levels - 1
+    readings = [max(0, min(v, top)) for v in range(clean_adc - amp, clean_adc + amp + 1)]
+    return [readings[r] for r in draws]
 
 
 def clean_adc_at_diameter(d: float, cfg: SensorConfig) -> int:

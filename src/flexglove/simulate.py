@@ -8,14 +8,11 @@ bounded perturbations of the default table below.
 """
 from __future__ import annotations
 
-import functools
 import random
 from typing import Iterable, NamedTuple
 
 from .errors import ArgumentError, DomainError, content_lines, finite_floats, read_ascii
-# sample_with_noise is not called here but stays importable from this module:
-# bench/layers.py traces it under this name.
-from .sensor import SensorConfig, clean_adc_at_diameter, sample_with_noise  # noqa: F401
+from .sensor import SensorConfig, clean_adc_at_diameter, noise_draws, sample_with_noise
 from .types import DEFAULT_FRAME_COUNT, DEFAULT_PERIOD_MS, FINGERS, SHAPE_BY_NAME, GraspObject, GraspSession, Shape
 
 DEFAULT_SPHERE_USERS = 11
@@ -113,33 +110,6 @@ def clean_finger_adc(
     return clean_adc_at_diameter(finger_bend_diameter(obj, finger, profile, sensor), sensor)
 
 
-@functools.cache
-def _draw_tables(span: int) -> tuple[bytes, bytes]:
-    """The translate table from a top byte to its top k bits, and the rejected values."""
-    k = span.bit_length()
-    return bytes(b >> (8 - k) for b in range(256)), bytes(range(span, 1 << k))
-
-
-def _noise_draws(rng: random.Random, span: int, count: int) -> bytes:
-    """The next ``count`` values of randrange(span) from ``rng``, for span < 256.
-
-    getrandbits(32 * m) returns m 32-bit MT words least significant first, so
-    byte 3 of each little-endian 4-byte group is a word's top byte, which holds
-    the k = span.bit_length() bits randrange takes from a word while k <= 8.
-    """
-    top_bits, rejected = _draw_tables(span)
-    k = span.bit_length()
-    draws = b""
-    while len(draws) < count:
-        # An eighth more words than the draws still owed need on average,
-        # so a second pass is rare; any surplus is never used.
-        words = ((count - len(draws)) << k) // span * 9 // 8 + 1
-        top_bytes = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        # Two calls: translate(table, delete) would delete on the input bytes.
-        draws += top_bytes.translate(top_bits).translate(None, rejected)
-    return draws
-
-
 def simulate_session(
     obj: GraspObject,
     profile: HandProfile,
@@ -152,19 +122,11 @@ def simulate_session(
     if n_frames < 0:
         raise ArgumentError("need n_frames >= 0")
     clean = tuple(clean_finger_adc(obj, finger, profile, sensor) for finger in FINGERS)
-    top = sensor.adc_levels - 1
-    amp = int(sensor.noise_amplitude)
+    # One draw per session, frame-major and finger-minor; finger j reads
+    # every fifth offset from the j-th.
+    draws = noise_draws(random.Random(seed), sensor, n_frames * len(FINGERS))
+    columns = [sample_with_noise(c, draws[j::len(FINGERS)], sensor) for j, c in enumerate(clean)]
     stamps = range(0, n_frames * DEFAULT_PERIOD_MS, DEFAULT_PERIOD_MS)
-    # The noise stream every simulated file rests on: one Random(seed) per
-    # session; a run of 32-bit MT words, the top k = span.bit_length() bits of
-    # each a draw, values >= span rejected, exactly as randrange and
-    # sample_with_noise consume them; frame-major, finger-minor; span 1 draws 0s.
-    draws = _noise_draws(random.Random(seed), 2 * amp + 1, n_frames * len(FINGERS))
-    columns = []
-    for j, c in enumerate(clean):
-        # Draw r is the count c + r - amp, clamped to the converter range.
-        noisy = [max(0, min(v, top)) for v in range(c - amp, c + amp + 1)]
-        columns.append(map(noisy.__getitem__, draws[j::len(FINGERS)]))
     frames = list(zip(stamps, *columns))
     return GraspSession(
         user_id=profile.user_id, obj=obj, frames=frames, sample_period_ms=DEFAULT_PERIOD_MS

@@ -7,9 +7,12 @@ that read_session's block pass must agree with: it shares only parse_frame,
 whose errors the parser tests pin literally, and the package's types.  The
 header oracle is the line loop that read_session's header pattern must agree
 with; it reads the frame block through the package's own block reader, which
-the line-at-a-time oracle checks.
+the line-at-a-time oracle checks.  The noise oracles draw every offset with
+its own rng.randint call, as the converter model did before it took a whole
+stream in one draw; they share only the clean counts with the package.
 """
 import math
+import random
 import sys
 
 from flexglove import (
@@ -21,8 +24,10 @@ from flexglove import (
     Shape,
     parse_frame,
 )
+from flexglove.sensor import clean_adc_at_diameter
 from flexglove.session_io import _read_frames
-from flexglove.types import SHAPE_BY_NAME
+from flexglove.simulate import clean_finger_adc
+from flexglove.types import FINGERS, SHAPE_BY_NAME
 
 
 def sem_oracle(values):
@@ -47,6 +52,35 @@ def ols_oracle(points):
     ss_tot = sum((y - mean_y) ** 2 for _, y in points)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return slope, intercept, r2
+
+
+def noisy_by_draw(clean_counts, rng, sensor):
+    """One reading per clean count, each the count plus its own
+    rng.randint(-amplitude, amplitude), clamped to the converter range;
+    amplitude 0 draws nothing."""
+    amp, top = sensor.noise_amplitude, sensor.adc_levels - 1
+    if amp == 0:
+        return list(clean_counts)
+    return [max(0, min(c + rng.randint(-amp, amp), top)) for c in clean_counts]
+
+
+def per_draw_frames(obj, profile, sensor, seed, n_frames, period_ms=50):
+    """A simulated session's frames, one draw per finger per frame."""
+    clean = [clean_finger_adc(obj, f, profile, sensor) for f in FINGERS]
+    rng = random.Random(seed)
+    return [(i * period_ms, *noisy_by_draw(clean, rng, sensor)) for i in range(n_frames)]
+
+
+def characterize_by_draw(sensor, seed):
+    """characterize's readings, one draw each: five trials per diameter from
+    22 cm down to 5 cm as (diameter, trials) pairs, then 1,000 samples at 12 cm."""
+    rng = random.Random(seed)
+    sweep = [
+        (d, noisy_by_draw([clean_adc_at_diameter(float(d), sensor)] * 5, rng, sensor))
+        for d in range(22, 4, -1)
+    ]
+    stability = noisy_by_draw([clean_adc_at_diameter(12.0, sensor)] * 1000, rng, sensor)
+    return sweep, stability
 
 
 def read_session_by_line(data):

@@ -39,8 +39,8 @@ class TestCriterion1Sampling:
 class TestCriterion2NoiseBound:
     def test_thousand_sample_stream_spans_at_most_two_counts(self, sensor):
         clean = fg.clean_adc_at_diameter(12.0, sensor)
-        rng = random.Random(PUBLISHED_SEED)
-        stream = [fg.sample_with_noise(clean, rng, sensor) for _ in range(1000)]
+        draws = fg.noise_draws(random.Random(PUBLISHED_SEED), sensor, 1000)
+        stream = fg.sample_with_noise(clean, draws, sensor)
         span = max(stream) - min(stream)
         assert span <= 2
         note(2, f"1000 samples at 12 cm span {span} counts")

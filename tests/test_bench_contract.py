@@ -39,3 +39,16 @@ def test_frame_counters_count_frames(tmp_path):
     assert frame_lines == 1200
     counters = ("simulate.frames", "session_io.frames_written", "session_io.frames_read")
     assert {name: tracer.units[name] for name in counters} == dict.fromkeys(counters, frame_lines)
+
+
+def test_sensor_span_times_every_noise_mapping(tmp_path):
+    """`simulate_session` maps each finger's noise through
+    `sample_with_noise`, so the traced `sensor` span counts 5 calls per session."""
+    tracer = layers.Tracer()
+    with layers.installed(tracer):
+        assert main([
+            "simulate", "--out", str(tmp_path), "--users-sphere", "2", "--users-cylinder", "2",
+            "--diameters", "6,8,12",
+        ]) == 0
+    assert tracer.units["simulate.sessions"] == 12
+    assert tracer.calls["sensor"] == 60

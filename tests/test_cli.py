@@ -12,8 +12,9 @@ from flexglove.cli import main
 from flexglove.sensor import SensorConfig, format_config
 from flexglove.session_io import write_session_file
 from flexglove.simulate import DEFAULT_PROFILE_TABLE, format_profile_table
-from flexglove.stats import CohortTable
+from flexglove.stats import CohortTable, sem
 from flexglove.types import SHAPE_BY_NAME
+from oracles import characterize_by_draw
 
 
 def read_csv(path):
@@ -99,6 +100,46 @@ class TestCharacterize:
         assert run("characterize", "--out", b, "--seed", "3") == 0
         for name in ("sweep.csv", "stability.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestCharacterizeStream:
+    """characterize's outputs against one rng.randint draw per reading.  The
+    converter cases are TestNoiseStream's in test_simulate.py: r_fixed far
+    below / far above the sensor's resistance pins every clean count to the
+    converter's top / bottom, so the clamp is exercised."""
+
+    @staticmethod
+    def expected_rows(sensor, seed):
+        sweep, stability = characterize_by_draw(sensor, seed)
+        sweep_rows = [
+            [str(d), f"{sum(t) / len(t):.6f}", f"{sem(t):.6f}", str(len(t))] for d, t in sweep
+        ]
+        return sweep_rows, [[str(i), str(v)] for i, v in enumerate(stability)]
+
+    @pytest.mark.parametrize("amplitude", [0, 1, 2, 3, 50, 127])
+    @pytest.mark.parametrize(
+        "r_fixed, adc_levels", [(47_000.0, 1024), (1e-3, 1024), (1e12, 1024), (1e-3, 256)]
+    )
+    def test_outputs_equal_per_draw_replay(self, tmp_path, amplitude, r_fixed, adc_levels):
+        sensor = SensorConfig(r_fixed=r_fixed, adc_levels=adc_levels, noise_amplitude=amplitude)
+        config = tmp_path / "sensor.cfg"
+        config.write_text(format_config(sensor))
+        for seed in (2020, 0, 1, 7):
+            out = tmp_path / str(seed)
+            assert run("characterize", "--out", out, "--seed", seed, "--config", config) == 0
+            sweep_rows, stability_rows = self.expected_rows(sensor, seed)
+            assert read_csv(out / "sweep.csv")[1] == sweep_rows
+            assert read_csv(out / "stability.csv")[1] == stability_rows
+
+    def test_stability_stream_at_amplitude_3(self, tmp_path):
+        config = tmp_path / "loud.cfg"
+        config.write_text("noise_amplitude = 3\n")
+        out = tmp_path / "char"
+        assert run("characterize", "--out", out, "--config", config) == 0
+        _, stability = characterize_by_draw(SensorConfig(noise_amplitude=3), 2020)
+        _, rows = read_csv(out / "stability.csv")
+        assert [int(r[1]) for r in rows] == stability
+        assert len(rows) == 1000
 
 
 class TestSimulate:

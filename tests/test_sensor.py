@@ -11,6 +11,7 @@ from flexglove import (
     adc_to_voltage,
     clean_adc_at_diameter,
     divider_voltage,
+    noise_draws,
     quantize,
     resistance_at_diameter,
     sample_with_noise,
@@ -135,27 +136,60 @@ class TestAdcToVoltage:
             adc_to_voltage(adc, CFG)
 
 
+def noisy(clean, seed, count, cfg=CFG):
+    return sample_with_noise(clean, noise_draws(random.Random(seed), cfg, count), cfg)
+
+
 class TestNoise:
     def test_zero_amplitude_is_identity(self):
         cfg = SensorConfig(noise_amplitude=0)
-        rng = random.Random(1)
-        assert all(sample_with_noise(500, rng, cfg) == 500 for _ in range(100))
+        assert all(v == 500 for v in noisy(500, 1, 100, cfg))
 
     def test_clamped_at_floor(self):
-        rng = random.Random(2)
-        values = {sample_with_noise(0, rng, CFG) for _ in range(200)}
+        values = set(noisy(0, 2, 200))
         assert values <= {0, 1}
 
     def test_bounded_span(self):
-        rng = random.Random(3)
-        values = [sample_with_noise(500, rng, CFG) for _ in range(1000)]
+        values = noisy(500, 3, 1000)
         assert max(values) - min(values) <= 2
         assert all(abs(v - 500) <= CFG.noise_amplitude for v in values)
 
     def test_deterministic_per_seed(self):
-        a = [sample_with_noise(500, random.Random(7), CFG) for _ in range(50)]
-        b = [sample_with_noise(500, random.Random(7), CFG) for _ in range(50)]
+        a = noisy(500, 7, 50)
+        b = noisy(500, 7, 50)
         assert a == b
+
+
+class CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class TestNoiseDraws:
+    @pytest.mark.parametrize("amplitude", [1, 127])
+    @pytest.mark.parametrize("count", [0, 1, 5, 1090])
+    def test_exactly_count_randrange_values(self, amplitude, count):
+        cfg = SensorConfig(noise_amplitude=amplitude)
+        for seed in (0, 2020):
+            draws = noise_draws(random.Random(seed), cfg, count)
+            twin = random.Random(seed)
+            assert len(draws) == count
+            assert list(draws) == [twin.randrange(2 * amplitude + 1) for _ in range(count)]
+
+    def test_short_first_draw_is_topped_up(self):
+        # At seed 0, the seven words drawn for one frame at amplitude 1 hold
+        # fewer than five values below 3, so a second getrandbits call follows;
+        # the (amplitude 1, one frame, seed 0) session of TestNoiseStream in
+        # test_simulate.py takes this path.
+        rng, reference = CountingRandom(0), random.Random(0)
+        draws = noise_draws(rng, SensorConfig(noise_amplitude=1), 5)
+        assert rng.calls > 1
+        assert list(draws) == [reference.randrange(3) for _ in range(5)]
 
 
 class TestEndToEnd:

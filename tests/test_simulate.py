@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from flexglove import (
@@ -11,13 +9,11 @@ from flexglove import (
     finger_bend_diameter,
     format_session,
     make_hand_profile,
-    sample_with_noise,
     simulate_cohort,
     simulate_session,
 )
 from flexglove.simulate import (
     DEFAULT_PROFILE_TABLE,
-    _noise_draws,
     clean_finger_adc,
     default_hand_profile,
     format_profile_table,
@@ -25,6 +21,7 @@ from flexglove.simulate import (
 )
 from flexglove.stats import session_means
 from flexglove.types import FINGERS, default_objects
+from oracles import per_draw_frames
 
 SENSOR = SensorConfig()
 QUIET = SensorConfig(noise_amplitude=0)
@@ -107,26 +104,6 @@ class TestSession:
         )
 
 
-def per_draw_frames(obj, profile, sensor, seed, n_frames, period_ms=50):
-    """Reference noise stream: one sample_with_noise call per finger per frame."""
-    clean = [clean_finger_adc(obj, f, profile, sensor) for f in FINGERS]
-    rng = random.Random(seed)
-    return [
-        (i * period_ms, *(sample_with_noise(c, rng, sensor) for c in clean))
-        for i in range(n_frames)
-    ]
-
-
-class CountingRandom(random.Random):
-    """A Random that counts its getrandbits calls."""
-
-    calls = 0
-
-    def getrandbits(self, k):
-        self.calls += 1
-        return super().getrandbits(k)
-
-
 class TestNoiseStream:
     # Amplitudes 1, 2, 3 and 127 give spans 3, 5, 7 and 255, drawn from the
     # top 2, 3, 3 and 8 bits of a word; 0 draws nothing.  r_fixed far below /
@@ -146,15 +123,6 @@ class TestNoiseStream:
         for seed in (0, 2020, 987654321):
             session = simulate_session(obj, profile, sensor, seed, n_frames=n_frames)
             assert session.frames == per_draw_frames(obj, profile, sensor, seed, n_frames)
-
-    def test_short_first_draw_is_topped_up(self):
-        # At seed 0, the seven words drawn for one frame at amplitude 1 hold
-        # fewer than five values below 3, so a second getrandbits call follows;
-        # the (amplitude 1, one frame, seed 0) session above takes this path.
-        rng, reference = CountingRandom(0), random.Random(0)
-        draws = _noise_draws(rng, 3, 5)
-        assert rng.calls > 1
-        assert list(draws[:5]) == [reference.randrange(3) for _ in range(5)]
 
 
 class TestCohort:

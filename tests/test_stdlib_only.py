@@ -33,11 +33,6 @@ def unused_imports(tree: ast.AST) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-# The one import kept unread: bench/layers.py traces noise draws through
-# flexglove.simulate.sample_with_noise.
-UNUSED_ON_PURPOSE = {"simulate.py": ["sample_with_noise"]}
-
-
 def test_sources_found():
     assert len(SOURCES) > 1
 
@@ -55,7 +50,7 @@ def test_imports_are_stdlib_or_package(path):
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert unused_imports(tree) == UNUSED_ON_PURPOSE.get(path.name, [])
+    assert unused_imports(tree) == []
 
 
 def test_guard_flags_an_unused_import():
