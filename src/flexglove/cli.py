@@ -6,9 +6,11 @@ Commands:
     analyze        cohort table, regression, discriminability, centroid CSVs
     classify       assign one session file to the nearest centroid
 
-Every command writes a manifest.json next to its outputs; re-running the
-recorded command reproduces the outputs byte for byte.  Exit codes: 0 ok,
-2 argument error, 3 parse error, 4 precondition violation, 5 I/O error.
+characterize, simulate and analyze each write a manifest.json next to their
+outputs; re-running the recorded command reproduces the outputs byte for byte.
+classify writes no files: it prints its verdict.  Exit codes: 0 ok, and each
+error class's exit_code (2 argument error, 3 parse error, 4 precondition
+violation); 5 I/O error.
 """
 from __future__ import annotations
 
@@ -22,13 +24,13 @@ from pathlib import Path
 
 from . import __version__
 from .classify import build_centroids, centroids_from_csv, centroids_to_csv, classify_session, discriminability, scale_context
-from .errors import ArgumentError, DegenerateRange, GloveError, ParseError, PreconditionViolation, read_ascii
-from .sensor import SensorConfig, clean_adc_at_diameter, load_config, noise_draws, sample_with_noise
+from .errors import ArgumentError, GloveError, ParseError, read_ascii
+from .sensor import SensorConfig, clean_adc_at_diameter, noise_draws, parse_config, sample_with_noise
 from .session_io import read_session_file, write_session_file
 from .simulate import (
     DEFAULT_CYLINDER_USERS,
     DEFAULT_SPHERE_USERS,
-    load_profile_table,
+    parse_profile_table,
     simulate_cohort,
 )
 from .stats import build_cohort, cohort_fits, sem
@@ -47,10 +49,9 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _csv(header: list[str], rows: list[list[str]]) -> str:
     # No field this program writes holds a comma, so none needs quoting.
-    text = "".join(",".join(row) + "\n" for row in [header, *rows])
-    path.write_text(text, encoding="ascii", newline="")
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outputs: list[str]) -> None:
@@ -69,7 +70,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outpu
 
 
 def _sensor_from_args(args: argparse.Namespace) -> SensorConfig:
-    return load_config(args.config) if args.config else SensorConfig()
+    return SensorConfig() if args.config is None else parse_config(read_ascii(args.config, "config file"))
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -78,6 +79,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_outputs(args: argparse.Namespace, command: str, texts: dict[str, str]) -> None:
+    """Create --out, write each text under its file name, then the manifest
+    listing those names in order."""
+    out = _out_dir(args)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="ascii", newline="")
+    _write_manifest(out, command, args, list(texts))
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
@@ -100,10 +110,10 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         [str(i), str(v)] for i, v in enumerate(sample_with_noise(clean, draws[n_sweep:], sensor))
     ]
 
-    out = _out_dir(args)
-    _write_csv(out / "sweep.csv", ["diameter_cm", "adc_mean", "adc_sem", "n_trials"], sweep_rows)
-    _write_csv(out / "stability.csv", ["sample_index", "adc"], stability_rows)
-    _write_manifest(out, "characterize", args, ["sweep.csv", "stability.csv"])
+    _write_outputs(args, "characterize", {
+        "sweep.csv": _csv(["diameter_cm", "adc_mean", "adc_sem", "n_trials"], sweep_rows),
+        "stability.csv": _csv(["sample_index", "adc"], stability_rows),
+    })
     return 0
 
 
@@ -125,8 +135,10 @@ def _parse_diameters(text: str) -> list[float]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     sensor = _sensor_from_args(args)
-    table = load_profile_table(args.profile_table) if args.profile_table else None
-    diameters = _parse_diameters(args.diameters) if args.diameters else None
+    table = (
+        None if args.profile_table is None else parse_profile_table(read_ascii(args.profile_table, "profile table"))
+    )
+    diameters = None if args.diameters is None else _parse_diameters(args.diameters)
 
     cohorts = []
     for shape, n_users, prefix, seed in (
@@ -186,29 +198,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             + [str(verdict.overlap_by_finger[f]).lower() for f in FINGERS]
             + [str(verdict.discriminable).lower()]
         )
-    centroids = centroids_to_csv(build_centroids(table), scale_context(table))
 
-    out = _out_dir(args)
-    _write_csv(
-        out / "cohort.csv", ["shape", "diameter_cm", "finger", "mean", "sem", "n"], cohort_rows
-    )
-    _write_csv(
-        out / "regression.csv",
-        ["shape", "finger", "fit_range", "slope_per_cm", "intercept", "r2", "n_points"],
-        fit_rows,
-    )
-    _write_csv(
-        out / "discriminability.csv",
-        ["diameter_cm"] + [f"{f}_overlap" for f in FINGERS] + ["discriminable"],
-        disc_rows,
-    )
-    (out / "centroids.csv").write_text(centroids, encoding="ascii", newline="")
-    _write_manifest(
-        out,
-        "analyze",
-        args,
-        ["cohort.csv", "regression.csv", "discriminability.csv", "centroids.csv"],
-    )
+    _write_outputs(args, "analyze", {
+        "cohort.csv": _csv(["shape", "diameter_cm", "finger", "mean", "sem", "n"], cohort_rows),
+        "regression.csv": _csv(
+            ["shape", "finger", "fit_range", "slope_per_cm", "intercept", "r2", "n_points"], fit_rows
+        ),
+        "discriminability.csv": _csv(
+            ["diameter_cm"] + [f"{f}_overlap" for f in FINGERS] + ["discriminable"], disc_rows
+        ),
+        "centroids.csv": centroids_to_csv(build_centroids(table), scale_context(table)),
+    })
     return 0
 
 
@@ -264,18 +264,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except GloveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (PreconditionViolation, DegenerateRange) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except OSError as exc:
         print(f"IoError: {exc}", file=sys.stderr)
         return 5
-    except GloveError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 """Exception types shared across the package, the raw reader behind every
-input file, and the reader that turns hand-edited text files into them."""
+input file, and the reader that turns hand-edited text files into them.
+
+Each error base class carries the CLI's exit code for it as ``exit_code``:
+2 for GloveError and the argument and domain errors under it, 3 for
+ParseError, 4 for PreconditionViolation.  (An OSError exits 5.)"""
 from __future__ import annotations
 
 import math
@@ -9,6 +13,8 @@ from typing import Iterator, Sequence
 
 class GloveError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class ArgumentError(GloveError, ValueError):
@@ -28,6 +34,8 @@ class ParseError(GloveError, ValueError):
 
     ``line`` is the 1-based line number within the stream, when known.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -59,8 +67,10 @@ class SchemaError(ParseError):
 class PreconditionViolation(GloveError, ValueError):
     """An analysis operation was called outside its stated preconditions."""
 
+    exit_code = 4
 
-class DegenerateRange(GloveError, ValueError):
+
+class DegenerateRange(PreconditionViolation):
     """Min-max normalization saw a flat input (max == min): dead channel."""
 
 

@@ -13,7 +13,7 @@ import math
 import random
 from collections import namedtuple
 
-from .errors import ArgumentError, BendRangeError, DomainError, content_lines, finite_floats, read_ascii
+from .errors import ArgumentError, BendRangeError, DomainError, content_lines, finite_floats
 from .types import ADC_MAX
 
 # Shape constants of the calibration-curve family (fractions of the total
@@ -238,7 +238,3 @@ def format_config(cfg: SensorConfig) -> str:
     lines.append(f"adc_levels = {cfg.adc_levels}")
     lines.append(f"noise_amplitude = {cfg.noise_amplitude}")
     return "\n".join(lines) + "\n"
-
-
-def load_config(path) -> SensorConfig:
-    return parse_config(read_ascii(path, "config file"))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, NamedTuple
 
-from .errors import ArgumentError, DomainError, content_lines, finite_floats, read_ascii
+from .errors import ArgumentError, DomainError, content_lines, finite_floats
 from .sensor import SensorConfig, clean_adc_at_diameter, noise_draws, sample_with_noise
 from .types import DEFAULT_FRAME_COUNT, DEFAULT_PERIOD_MS, FINGERS, SHAPE_BY_NAME, GraspObject, GraspSession, Shape
 
@@ -205,7 +205,3 @@ def format_profile_table(table: dict[tuple[str, Shape], FingerProfile]) -> str:
                 f"{p.gain_spread!r} {p.offset_spread_cm!r}"
             )
     return "\n".join(lines) + "\n"
-
-
-def load_profile_table(path) -> dict[tuple[str, Shape], FingerProfile]:
-    return parse_profile_table(read_ascii(path, "profile table"))

@@ -201,7 +201,7 @@ def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = DEFAUL
         for finger, column in zip(FINGERS, columns):
             try:
                 normalized = min_max_normalize(dict(zip(sweep, column)))
-            except (PreconditionViolation, DegenerateRange) as exc:
+            except PreconditionViolation as exc:
                 exc.args = (f"user {user}, {shape.value}, {finger}: {exc}",)
                 raise
             for d, value in normalized.items():

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flexglove import classify
+from flexglove import classify, cli, errors
 from flexglove.classify import _centroids_by_row, build_centroids, centroids_from_csv, centroids_to_csv, scale_context
 from flexglove.cli import main
 from flexglove.sensor import SensorConfig, format_config
@@ -860,7 +860,51 @@ class TestAnalyzeFuzz:
         assert "Traceback" not in err
 
 
+# The README's exit code for every error class in flexglove.errors.
+README_EXIT_CODES = {
+    "GloveError": 2, "ArgumentError": 2, "DomainError": 2, "BendRangeError": 2,
+    "ParseError": 3, "MalformedFrame": 3, "RangeViolation": 3, "MalformedHeader": 3,
+    "OrderViolation": 3, "SchemaError": 3,
+    "PreconditionViolation": 4, "DegenerateRange": 4,
+}
+
+
 class TestExitCodes:
+    def test_every_error_class_has_a_readme_exit_code(self):
+        classes = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.GloveError)
+        }
+        assert classes == set(README_EXIT_CODES)
+
+    @pytest.mark.parametrize("name, code", [*README_EXIT_CODES.items(), ("OSError", 5)])
+    def test_main_maps_each_error_to_its_exit_code(self, name, code, tmp_path, monkeypatch):
+        exc_type = OSError if name == "OSError" else getattr(errors, name)
+
+        def failing(*args, **kwargs):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "read_session_file", failing)
+        code_seen, err = run_quietly("classify", tmp_path / "q.session", tmp_path / "c.csv")
+        assert code_seen == code
+        assert err == ("IoError: boom\n" if name == "OSError" else f"{name}: boom\n")
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["simulate", "--diameters", ""], 2, "ArgumentError: --diameters lists no diameters\n"),
+            (["simulate", "--profile-table", ""], 5, "IoError: [Errno 2] No such file or directory: ''\n"),
+            (["characterize", "--config", ""], 5, "IoError: [Errno 2] No such file or directory: ''\n"),
+        ],
+        ids=["diameters", "profile-table", "config"],
+    )
+    def test_empty_flag_value_is_an_error_not_the_default(self, argv, code, message, tmp_path):
+        # An empty value once meant "use the default": simulate --diameters ""
+        # wrote the 201 default files and exited 0.
+        out = tmp_path / "out"
+        assert run_quietly(*argv, "--out", out) == (code, message)
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -925,3 +969,20 @@ def test_failed_command_leaves_out_as_it_was(tmp_path, failing, code, earlier_ru
     before = snapshot(out)
     assert run_quietly(*failing(tmp_path), "--out", out)[0] == code
     assert snapshot(out) == before
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda tmp_path, out: ["characterize", "--out", out],
+        lambda tmp_path, out: ["simulate", "--out", out, "--users-sphere", "2", "--users-cylinder", "2", "--diameters", "6,8"],
+        lambda tmp_path, out: ["analyze", tmp_path / "sessions", "--out", out],
+    ],
+    ids=["characterize", "simulate", "analyze"],
+)
+def test_manifest_lists_what_was_written(tmp_path, command, small_cohort_dir):
+    out = tmp_path / "out"
+    assert run_quietly(*command(tmp_path, out))[0] == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert len(outputs) == len(set(outputs))
+    assert set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
