@@ -53,7 +53,6 @@ from .simulate import (
     DEFAULT_PROFILE_TABLE,
     FingerProfile,
     HandProfile,
-    default_hand_profile,
     finger_bend_diameter,
     make_hand_profile,
     simulate_cohort,

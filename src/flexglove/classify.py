@@ -45,12 +45,6 @@ class DiscriminabilityReport(NamedTuple):
     verdicts: list[DiameterVerdict]
     not_comparable: list[tuple[Shape, float]]
 
-    def verdict_at(self, diameter_cm: float) -> DiameterVerdict:
-        for v in self.verdicts:
-            if v.diameter_cm == diameter_cm:
-                return v
-        raise KeyError(diameter_cm)
-
 
 def discriminability(table: CohortTable) -> DiscriminabilityReport:
     """Compare sphere against cylinder at every diameter present for both."""
@@ -91,12 +85,6 @@ def build_centroids(table: CohortTable) -> list[Centroid]:
             vector = tuple(table.summary[(shape, d, finger)].mean for finger in FINGERS)
             centroids.append(Centroid(shape=shape, diameter_cm=d, vector=vector))
     return centroids
-
-
-def scale_context(table: CohortTable) -> ScaleContext:
-    if not table.raw_scale:
-        raise PreconditionViolation("cohort table carries no raw scale context")
-    return dict(table.raw_scale)
 
 
 def _normalize_query(

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .classify import build_centroids, centroids_from_csv, centroids_to_csv, classify_session, discriminability, scale_context
+from .classify import build_centroids, centroids_from_csv, centroids_to_csv, classify_session, discriminability
 from .errors import ArgumentError, GloveError, ParseError, read_ascii
 from .sensor import SensorConfig, clean_adc_at_diameter, noise_draws, parse_config, sample_with_noise
 from .session_io import read_session_file, write_session_file
@@ -75,7 +75,10 @@ def _sensor_from_args(args: argparse.Namespace) -> SensorConfig:
 
 def _out_dir(args: argparse.Namespace) -> Path:
     """Create --out.  Each command calls this only once every output is
-    computed, so a command that fails leaves --out as it was."""
+    computed, so a command that fails leaves --out as it was.  An empty
+    --out would be the working directory, so it is an error."""
+    if not args.out:
+        raise ArgumentError("--out names no directory")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -163,6 +166,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not args.sessions:
+        raise ArgumentError("the sessions argument names no directory")
     session_dir = Path(args.sessions)
     # One listing and plain strings: a Path per entry costs more than the
     # listing itself.  A missing path or a non-directory holds no sessions.
@@ -207,7 +212,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "discriminability.csv": _csv(
             ["diameter_cm"] + [f"{f}_overlap" for f in FINGERS] + ["discriminable"], disc_rows
         ),
-        "centroids.csv": centroids_to_csv(build_centroids(table), scale_context(table)),
+        "centroids.csv": centroids_to_csv(build_centroids(table), table.raw_scale),
     })
     return 0
 

@@ -227,14 +227,3 @@ def parse_config(text: str) -> SensorConfig:
         raw[key] = number
     curve_kwargs = {k: raw.pop(k) for k in _CURVE_KEYS if k in raw}
     return SensorConfig(curve=CalibrationCurve(**curve_kwargs), **raw)
-
-
-def format_config(cfg: SensorConfig) -> str:
-    lines = ["# flex sensor channel configuration"]
-    for key in _CURVE_KEYS:
-        lines.append(f"{key} = {getattr(cfg.curve, key)!r}")
-    lines.append(f"r_fixed = {cfg.r_fixed!r}")
-    lines.append(f"vcc = {cfg.vcc!r}")
-    lines.append(f"adc_levels = {cfg.adc_levels}")
-    lines.append(f"noise_amplitude = {cfg.noise_amplitude}")
-    return "\n".join(lines) + "\n"

@@ -33,12 +33,10 @@ class FingerProfile(NamedTuple):
     offset_spread_cm: float
 
 
-# Tuned default table, version below.  The numbers are calibrated once against
-# the acceptance suite so the default cohort reproduces the qualitative
-# per-finger patterns (ring most linear, thumb/index saturating above 10 cm,
-# pinky crossing over near 10 cm); they are artifacts of this simulator, not
-# measurements.
-PROFILE_TABLE_VERSION = "1"
+# Tuned default table.  The numbers are calibrated once against the acceptance
+# suite so the default cohort reproduces the qualitative per-finger patterns
+# (ring most linear, thumb/index saturating above 10 cm, pinky crossing over
+# near 10 cm); they are artifacts of this simulator, not measurements.
 DEFAULT_PROFILE_TABLE: dict[tuple[str, Shape], FingerProfile] = {
     ("thumb", Shape.SPHERE): FingerProfile(1.00, 0.75, 0.02, 0.10),
     ("thumb", Shape.CYLINDER): FingerProfile(1.00, 0.25, 0.02, 0.10),
@@ -58,19 +56,6 @@ class HandProfile(NamedTuple):
 
     user_id: str
     mapping: dict[tuple[str, Shape], tuple[float, float]]
-
-    def gain_offset(self, finger: str, shape: Shape) -> tuple[float, float]:
-        try:
-            return self.mapping[(finger, shape)]
-        except KeyError:
-            raise ArgumentError(f"profile {self.user_id!r} lacks ({finger}, {shape.value})") from None
-
-
-def default_hand_profile(user_id: str = "default") -> HandProfile:
-    return HandProfile(
-        user_id=user_id,
-        mapping={key: (p.gain, p.offset_cm) for key, p in DEFAULT_PROFILE_TABLE.items()},
-    )
 
 
 def make_hand_profile(
@@ -97,7 +82,7 @@ def finger_bend_diameter(
     """Bend diameter (cm) this finger's sensor sees while grasping ``obj``,
     pinned to the sensor's d_tightest where the profile asks for a tighter bend.
     """
-    gain, offset = profile.gain_offset(finger, obj.shape)
+    gain, offset = profile.mapping[(finger, obj.shape)]
     if not gain > 0:
         raise DomainError(f"profile gain must be positive, got {gain}")
     return max(gain * obj.diameter_cm + offset, sensor.curve.d_tightest)
@@ -190,18 +175,3 @@ def parse_profile_table(text: str) -> dict[tuple[str, Shape], FingerProfile]:
     if missing:
         raise ArgumentError(f"profile table incomplete, missing {missing[0]}")
     return table
-
-
-def format_profile_table(table: dict[tuple[str, Shape], FingerProfile]) -> str:
-    lines = [
-        f"# hand profile table v{PROFILE_TABLE_VERSION}",
-        "# finger shape gain offset_cm gain_spread offset_spread_cm",
-    ]
-    for finger in FINGERS:
-        for shape in Shape:
-            p = table[(finger, shape)]
-            lines.append(
-                f"{finger} {shape.value} {p.gain!r} {p.offset_cm!r} "
-                f"{p.gain_spread!r} {p.offset_spread_cm!r}"
-            )
-    return "\n".join(lines) + "\n"

@@ -10,6 +10,10 @@ with; it reads the frame block through the package's own block reader, which
 the line-at-a-time oracle checks.  The noise oracles draw every offset with
 its own rng.randint call, as the converter model did before it took a whole
 stream in one draw; they share only the clean counts with the package.
+
+The helpers at the end serve the tests only.  No command writes a sensor
+config or a profile table, so the writers of those two formats live here, as
+do the default-table hand profile and the verdict lookup by diameter.
 """
 import math
 import random
@@ -24,10 +28,12 @@ from flexglove import (
     Shape,
     parse_frame,
 )
-from flexglove.sensor import clean_adc_at_diameter
+from flexglove.sensor import _CONFIG_KEYS, _CURVE_KEYS, clean_adc_at_diameter
 from flexglove.session_io import _read_frames
-from flexglove.simulate import clean_finger_adc
+from flexglove.simulate import DEFAULT_PROFILE_TABLE, HandProfile, clean_finger_adc
 from flexglove.types import FINGERS, SHAPE_BY_NAME
+
+PROFILE_TABLE_VERSION = "1"
 
 
 def sem_oracle(values):
@@ -201,3 +207,43 @@ def read_session_by_header_loop(data):
         frames=_read_frames(block),
         sample_period_ms=period_ms,
     )
+
+
+def format_config(cfg):
+    """A sensor config as the key = value text parse_config reads."""
+    lines = ["# flex sensor channel configuration"]
+    lines += [f"{key} = {getattr(cfg.curve, key)!r}" for key in _CURVE_KEYS]
+    lines += [f"{key} = {getattr(cfg, key)!r}" for key in _CONFIG_KEYS]
+    return "\n".join(lines) + "\n"
+
+
+def format_profile_table(table):
+    """A profile table as the whitespace-column text parse_profile_table reads."""
+    lines = [
+        f"# hand profile table v{PROFILE_TABLE_VERSION}",
+        "# finger shape gain offset_cm gain_spread offset_spread_cm",
+    ]
+    for finger in FINGERS:
+        for shape in Shape:
+            p = table[(finger, shape)]
+            lines.append(
+                f"{finger} {shape.value} {p.gain!r} {p.offset_cm!r} "
+                f"{p.gain_spread!r} {p.offset_spread_cm!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def default_hand_profile(user_id="default"):
+    """The default table's gains and offsets, with no per-user jitter."""
+    return HandProfile(
+        user_id=user_id,
+        mapping={key: (p.gain, p.offset_cm) for key, p in DEFAULT_PROFILE_TABLE.items()},
+    )
+
+
+def verdict_at(report, diameter_cm):
+    """The verdict of ``report`` at one diameter."""
+    for v in report.verdicts:
+        if v.diameter_cm == diameter_cm:
+            return v
+    raise KeyError(diameter_cm)

@@ -10,7 +10,7 @@ import random
 import pytest
 
 import flexglove as fg
-from flexglove.classify import build_centroids, classify_session, discriminability, scale_context
+from flexglove.classify import build_centroids, classify_session, discriminability
 from flexglove.cli import main
 from flexglove.errors import ParseError
 from flexglove.session_io import format_session, parse_frame, read_session
@@ -235,7 +235,7 @@ class TestCriterion8AtOtherSeeds:
 class TestCriterion9Classifier:
     def test_heldout_accuracy(self, sensor, default_table):
         centroids = build_centroids(default_table)
-        context = scale_context(default_table)
+        context = default_table.raw_scale
         rng = random.Random(PUBLISHED_SEED + 99991)  # disjoint from the training seed stream
         objects = {shape: default_objects(shape) for shape in Shape}
         total = shape_hits = diameter_hits = 0
@@ -264,7 +264,7 @@ class TestHeldOutUser:
         exact = shape_hits = 0
         for user in users:
             table = fg.build_cohort(s for s in default_cohort if s.user_id != user)
-            centroids, context = build_centroids(table), scale_context(table)
+            centroids, context = build_centroids(table), table.raw_scale
             for session in (s for s in default_cohort if s.user_id == user):
                 shape, diameter, _ = classify_session(session, centroids, context)
                 shape_hits += shape is session.obj.shape

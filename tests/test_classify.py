@@ -12,9 +12,10 @@ from flexglove import (
     classify_session,
     discriminability,
 )
-from flexglove.classify import Centroid, centroids_from_csv, centroids_to_csv, scale_context
+from flexglove.classify import Centroid, centroids_from_csv, centroids_to_csv
 from flexglove.stats import CohortTable
 from flexglove.types import FINGERS
+from oracles import verdict_at
 
 
 def table_from_cells(cells):
@@ -33,7 +34,7 @@ class TestDiscriminability:
         cells[(Shape.SPHERE, 8.0, "pinky")] = (0.19, 0.21)
         cells[(Shape.CYLINDER, 8.0, "pinky")] = (0.79, 0.81)
         report = discriminability(table_from_cells(cells))
-        verdict = report.verdict_at(8.0)
+        verdict = verdict_at(report, 8.0)
         assert not verdict.overlap_by_finger["pinky"]
         assert verdict.discriminable
 
@@ -42,14 +43,14 @@ class TestDiscriminability:
         cells.update(uniform_cells(Shape.SPHERE, 8.0, (0.4, 0.6)))
         cells.update(uniform_cells(Shape.CYLINDER, 8.0, (0.4, 0.6)))
         report = discriminability(table_from_cells(cells))
-        assert not report.verdict_at(8.0).discriminable
+        assert not verdict_at(report, 8.0).discriminable
 
     def test_overall_verdict_is_or_over_fingers(self):
         cells = {}
         cells.update(uniform_cells(Shape.SPHERE, 8.0, (0.5, 0.5)))
         cells.update(uniform_cells(Shape.CYLINDER, 8.0, (0.5, 0.5)))
         report = discriminability(table_from_cells(cells))
-        verdict = report.verdict_at(8.0)
+        verdict = verdict_at(report, 8.0)
         assert verdict.discriminable == any(
             not verdict.overlap_by_finger[f] for f in FINGERS
         )
@@ -187,7 +188,7 @@ class TestClassifySession:
 class TestCentroidCsv:
     def test_roundtrip(self, default_table):
         centroids = build_centroids(default_table)
-        context = scale_context(default_table)
+        context = default_table.raw_scale
         text = centroids_to_csv(centroids, context)
         parsed_centroids, parsed_context = centroids_from_csv(text)
         assert centroids_to_csv(parsed_centroids, parsed_context) == text

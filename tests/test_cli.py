@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flexglove import classify, cli, errors
-from flexglove.classify import _centroids_by_row, build_centroids, centroids_from_csv, centroids_to_csv, scale_context
+from flexglove.classify import _centroids_by_row, build_centroids, centroids_from_csv, centroids_to_csv
 from flexglove.cli import main
-from flexglove.sensor import SensorConfig, format_config
+from flexglove.sensor import SensorConfig
 from flexglove.session_io import write_session_file
-from flexglove.simulate import DEFAULT_PROFILE_TABLE, format_profile_table
+from flexglove.simulate import DEFAULT_PROFILE_TABLE
 from flexglove.stats import CohortTable, sem
 from flexglove.types import SHAPE_BY_NAME
-from oracles import characterize_by_draw
+from oracles import characterize_by_draw, format_config, format_profile_table
 
 
 def read_csv(path):
@@ -50,7 +50,7 @@ def published(default_table, default_cohort, tmp_path_factory):
     """A seed-2020 session file and the seed-2020 centroid file."""
     work = tmp_path_factory.mktemp("published")
     write_session_file(default_cohort[0], work / "query.session")
-    centroids = centroids_to_csv(build_centroids(default_table), scale_context(default_table))
+    centroids = centroids_to_csv(build_centroids(default_table), default_table.raw_scale)
     (work / "centroids.csv").write_text(centroids)
     return work / "query.session", work / "centroids.csv"
 
@@ -903,6 +903,31 @@ class TestExitCodes:
         # wrote the 201 default files and exited 0.
         out = tmp_path / "out"
         assert run_quietly(*argv, "--out", out) == (code, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["characterize", "--out", ""], "ArgumentError: --out names no directory\n"),
+            (["simulate", "--diameters", "7", "--out", ""], "ArgumentError: --out names no directory\n"),
+            (["analyze", "{sessions}", "--out", ""], "ArgumentError: --out names no directory\n"),
+            (["analyze", "", "--out", "{out}"], "ArgumentError: the sessions argument names no directory\n"),
+        ],
+        ids=["characterize-out", "simulate-out", "analyze-out", "analyze-sessions"],
+    )
+    def test_empty_path_is_an_error_not_the_working_directory(
+        self, argv, message, small_cohort_dir, tmp_path, monkeypatch
+    ):
+        # Path("") is ".": simulate --out "" once wrote its sessions and
+        # manifest into the working directory, and analyze "" analyzed it,
+        # both exiting 0.  The working directory holds a cohort here, so an
+        # empty sessions path has something to read.
+        out = tmp_path / "out"
+        argv = [a.format(sessions=small_cohort_dir, out=out) for a in argv]
+        monkeypatch.chdir(small_cohort_dir)
+        before = {p.name: p.read_bytes() for p in small_cohort_dir.iterdir()}
+        assert run_quietly(*argv) == (2, message)
+        assert {p.name: p.read_bytes() for p in small_cohort_dir.iterdir()} == before
         assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):

@@ -8,11 +8,11 @@ from flexglove import (
     CalibrationCurve,
     SensorConfig,
     build_centroids,
-    default_hand_profile,
     discriminability,
     linear_fit,
 )
 from flexglove.types import GraspObject, Shape
+from oracles import default_hand_profile
 
 
 def test_no_record_has_an_instance_dict(default_table, default_cohort):

@@ -17,7 +17,8 @@ from flexglove import (
     sample_with_noise,
     sensor_node_voltage,
 )
-from flexglove.sensor import format_config, parse_config
+from flexglove.sensor import parse_config
+from oracles import format_config
 
 CFG = SensorConfig()
 CURVE = CFG.curve

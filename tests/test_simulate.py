@@ -15,13 +15,11 @@ from flexglove import (
 from flexglove.simulate import (
     DEFAULT_PROFILE_TABLE,
     clean_finger_adc,
-    default_hand_profile,
-    format_profile_table,
     parse_profile_table,
 )
 from flexglove.stats import session_means
 from flexglove.types import FINGERS, default_objects
-from oracles import per_draw_frames
+from oracles import default_hand_profile, format_profile_table, per_draw_frames
 
 SENSOR = SensorConfig()
 QUIET = SensorConfig(noise_amplitude=0)

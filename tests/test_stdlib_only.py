@@ -6,8 +6,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "flexglove").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+# Definitions kept with no caller in src/ or bench/, one reason each.
+UNCALLED_ALLOWED = {
+    "adc_to_voltage": "acceptance criterion 4 checks the count-to-voltage arithmetic through it",
+}
 
 
 def imported_modules(tree: ast.AST) -> list[str]:
@@ -31,6 +38,54 @@ def unused_imports(tree: ast.AST) -> list[str]:
             bound.extend(alias.asname or alias.name for alias in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in bound if name not in read]
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Top-level functions, classes and constants of ``tree``, and the
+    methods of its classes; dunder methods run implicitly and are left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.name, item) for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+            )
+    return found
+
+
+def references(tree: ast.AST) -> list[tuple[str, int]]:
+    """Every name ``tree`` reads, as a bare name, an attribute or a string
+    equal to it (bench patches functions by name), with its line."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.append((node.value, node.lineno))
+    return refs
+
+
+def uncalled(defining: dict[object, ast.Module], reading: dict[object, ast.Module]) -> list[str]:
+    """Names defined in ``defining`` that no file of ``reading`` refers to
+    outside the lines of their own definition."""
+    read_at: dict[str, list[tuple[object, int]]] = {}
+    for path, tree in reading.items():
+        for name, line in references(tree):
+            read_at.setdefault(name, []).append((path, line))
+    unused = []
+    for path, tree in defining.items():
+        for name, node in definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(where == path and line in own for where, line in read_at.get(name, [])):
+                unused.append(name)
+    return unused
 
 
 def test_sources_found():
@@ -59,6 +114,25 @@ def test_guard_flags_an_unused_import():
         "from math import fsum, isqrt as root\nprint(os.sep, fsum)\n"
     )
     assert unused_imports(tree) == ["sys", "root"]
+
+
+def test_every_definition_has_a_caller():
+    parsed = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SOURCES + BENCH}
+    defining = {p: tree for p, tree in parsed.items() if p in SOURCES and p.name != "__init__.py"}
+    assert sorted(uncalled(defining, parsed)) == sorted(UNCALLED_ALLOWED)
+
+
+def test_guard_flags_an_uncalled_definition():
+    module = ast.parse(
+        "LIMIT = 3\nSPARE = 4\n\n"
+        "def walk(n):\n    return walk(n - 1) if n > LIMIT else n\n\n"
+        "def patched():\n    pass\n\n"
+        "class Box:\n    def __init__(self):\n        pass\n\n"
+        "    def size(self):\n        return 1\n\n"
+        "    def spare(self):\n        return 2\n"
+    )
+    caller = ast.parse("import m\nprint(m.Box().size())\nsetattr(m, 'patched', print)\n")
+    assert uncalled({"m": module}, {"m": module, "c": caller}) == ["SPARE", "walk", "spare"]
 
 
 def test_guard_flags_a_third_party_import():
