@@ -69,8 +69,7 @@ def discriminability(table: CohortTable) -> DiscriminabilityReport:
         verdicts.append(DiameterVerdict(diameter_cm=d, overlap_by_finger=overlap))
     not_comparable = sorted(
         [(Shape.SPHERE, d) for d in sphere_d - cylinder_d]
-        + [(Shape.CYLINDER, d) for d in cylinder_d - sphere_d],
-        key=lambda t: (t[0].value, t[1]),
+        + [(Shape.CYLINDER, d) for d in cylinder_d - sphere_d]
     )
     return DiscriminabilityReport(verdicts=verdicts, not_comparable=not_comparable)
 
@@ -145,11 +144,11 @@ _CENTROID_HEADER = ["kind", "shape", "diameter_cm", *FINGERS]
 
 def centroids_to_csv(centroids: list[Centroid], context: ScaleContext) -> str:
     rows = [_CENTROID_HEADER]
-    for c in sorted(centroids, key=lambda c: (c.shape.value, c.diameter_cm)):
+    for c in sorted(centroids, key=lambda c: (c.shape, c.diameter_cm)):
         rows.append(
             ["centroid", c.shape.value, f"{c.diameter_cm:g}"] + [f"{v:.6f}" for v in c.vector]
         )
-    for shape in sorted(context, key=lambda s: s.value):
+    for shape in sorted(context):
         lows, highs = context[shape]
         rows.append(["raw_min", shape.value, ""] + [f"{v:.6f}" for v in lows])
         rows.append(["raw_max", shape.value, ""] + [f"{v:.6f}" for v in highs])
@@ -243,7 +242,7 @@ def _checked_context(
         raise ArgumentError("centroid file holds no centroids")
     missing = {c.shape for c in centroids} - context.keys()
     if missing:
-        raise ArgumentError(f"centroid file lacks raw scale for {min(s.value for s in missing)}")
+        raise ArgumentError(f"centroid file lacks raw scale for {min(missing).value}")
     # An inverted, flat or overflowing span would normalize every query to
     # garbage that still classifies.
     for shape, scale in context.items():

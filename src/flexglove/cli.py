@@ -64,13 +64,18 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outpu
         },
         "outputs": outputs,
     }
-    with open(out_dir / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out_dir / "manifest.json").write_text(text, encoding="ascii")
 
 
 def _sensor_from_args(args: argparse.Namespace) -> SensorConfig:
     return SensorConfig() if args.config is None else parse_config(read_ascii(args.config, "config file"))
+
+
+def _check_seed(args: argparse.Namespace) -> None:
+    """A negative --seed is an error: Random(-n) seeds as Random(n) does."""
+    if args.seed < 0:
+        raise ArgumentError(f"--seed must not be negative, got {args.seed}")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -94,6 +99,7 @@ def _write_outputs(args: argparse.Namespace, command: str, texts: dict[str, str]
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
+    _check_seed(args)
     sensor = _sensor_from_args(args)
     diameters = range(SWEEP_START_CM, SWEEP_END_CM - 1, -1)
     # One draw: SWEEP_TRIALS offsets per diameter from the widest bend down,
@@ -137,6 +143,7 @@ def _parse_diameters(text: str) -> list[float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_seed(args)
     sensor = _sensor_from_args(args)
     table = (
         None if args.profile_table is None else parse_profile_table(read_ascii(args.profile_table, "profile table"))

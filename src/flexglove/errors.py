@@ -129,9 +129,7 @@ def finite_floats(fields: Sequence[str], names: Sequence[str], where: str) -> li
         numbers = list(map(float, fields))
     except ValueError as exc:
         raise ArgumentError(f"{where}: {exc}") from None
-    # all() keeps the common case in C: classify reads a centroid file, a call
-    # per row, on every command.  The search only names the bad field.
-    if not all(map(math.isfinite, numbers)):
-        text, name = next((t, n) for x, t, n in zip(numbers, fields, names) if not math.isfinite(x))
-        raise ArgumentError(f"{where}: {name} must be finite, got {text!r}")
+    for x, text, name in zip(numbers, fields, names):
+        if not math.isfinite(x):
+            raise ArgumentError(f"{where}: {name} must be finite, got {text!r}")
     return numbers

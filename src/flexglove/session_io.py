@@ -50,6 +50,7 @@ from .errors import (
     MalformedFrame,
     MalformedHeader,
     OrderViolation,
+    ParseError,
     RangeViolation,
     SchemaError,
     read_bytes,
@@ -78,6 +79,18 @@ _FRAME_BLOCK = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
 _COUNT_BY_TEXT = {str(n): n for n in range(ADC_MAX + 1)}
 
 
+def _to_int(digits: str, error: type[ParseError], what: str, line_no: int | None) -> int:
+    """int() of a decimal field; past int()'s digit limit, ``error`` naming ``what``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(
+            f"{what} of {len(digits)} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit conversion limit",
+            line=line_no,
+        ) from None
+
+
 def parse_frame(line: str, line_no: int | None = None) -> tuple[int, ...]:
     """Parse one wire-format record into its six ints; trailing newlines are ignored.
 
@@ -91,16 +104,7 @@ def parse_frame(line: str, line_no: int | None = None) -> tuple[int, ...]:
     bad = next((f for f in fields if not _is_decimal(f)), None)
     if bad is not None:
         raise MalformedFrame(f"field {bad!r} is not a non-negative decimal integer", line=line_no)
-    values = []
-    for fieldtext in fields:
-        try:
-            values.append(int(fieldtext))
-        except ValueError:
-            raise MalformedFrame(
-                f"field of {len(fieldtext)} digits exceeds the "
-                f"{sys.get_int_max_str_digits()}-digit conversion limit",
-                line=line_no,
-            ) from None
+    values = [_to_int(f, MalformedFrame, "field", line_no) for f in fields]
     over = next((v for v in values[1:] if v > ADC_MAX), None)
     if over is not None:
         raise RangeViolation(f"ADC value {over} exceeds {ADC_MAX}", line=line_no)
@@ -154,14 +158,7 @@ def read_session(data: bytes) -> GraspSession:
         raise MalformedHeader(f"diameter must be finite, got {diameter}", line=4)
     if not _is_decimal(period_text):
         raise MalformedHeader(f"period {period_text!r} is not an integer", line=5)
-    try:
-        period_ms = int(period_text)
-    except ValueError:
-        raise MalformedHeader(
-            f"period of {len(period_text)} digits exceeds the "
-            f"{sys.get_int_max_str_digits()}-digit conversion limit",
-            line=5,
-        ) from None
+    period_ms = _to_int(period_text, MalformedHeader, "period", 5)
 
     return GraspSession(
         user_id=user,
@@ -214,14 +211,10 @@ def _validate_user_id(user_id: str) -> str:
 
 def format_session(session: GraspSession) -> bytes:
     """Serialize a session to its canonical byte representation."""
-    parts = [
-        f"# schema={SCHEMA_VERSION}\n",
-        f"# user={_validate_user_id(session.user_id)}\n",
-        f"# shape={session.obj.shape.value}\n",
-        f"# diameter_cm={session.obj.diameter_cm!r}\n",
-        f"# period_ms={session.sample_period_ms}\n",
-    ]
-    parts.extend(map("%d,%d,%d,%d,%d,%d\n".__mod__, session.frames))
+    values = (SCHEMA_VERSION, _validate_user_id(session.user_id), session.obj.shape.value,
+              session.obj.diameter_cm, session.sample_period_ms)
+    parts = [f"# {key}={value}\n" for key, value in zip(_HEADER_KEYS, values)]
+    parts.extend(map("%s,%s,%s,%s,%s,%s\n".__mod__, session.frames))
     return "".join(parts).encode("ascii")
 
 
@@ -230,6 +223,7 @@ def read_session_file(path) -> GraspSession:
 
 
 def write_session_file(session: GraspSession, path) -> None:
-    """Write a session such that read_session_file reads it back equal."""
+    """Write a session of wire-range ints (counts 0..ADC_MAX, increasing
+    timestamps) such that read_session_file reads it back equal."""
     with open(path, "wb") as fh:
         fh.write(format_session(session))

@@ -66,13 +66,13 @@ class CohortTable:
         return FingerStats(sem=sem(vals), mean=math.fsum(vals) / len(vals), n=len(vals))
 
     def shapes(self) -> list[Shape]:
-        return sorted({k[0] for k in self.values}, key=lambda s: s.value)
+        return sorted({k[0] for k in self.values})
 
     def diameters(self, shape: Shape) -> list[float]:
         return sorted({k[1] for k in self.values if k[0] == shape})
 
     def cells(self) -> list[CellKey]:
-        return sorted(self.values, key=lambda k: (k[0].value, k[1], FINGERS.index(k[2])))
+        return sorted(self.values, key=lambda k: (k[0], k[1], FINGERS.index(k[2])))
 
 
 def session_means(session: GraspSession, expected_frames: int = DEFAULT_FRAME_COUNT) -> tuple[float, ...]:

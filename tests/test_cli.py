@@ -905,6 +905,18 @@ class TestExitCodes:
         assert run_quietly(*argv, "--out", out) == (code, message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["characterize", "simulate"])
+    def test_negative_seed_is_an_error(self, command, tmp_path):
+        # Random(-n) seeds as Random(n): characterize --seed -7 once wrote
+        # --seed 7's stability.csv, and simulate --seed -3 its sphere
+        # sessions, while each manifest recorded the negative seed.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.csv").write_text("kept\n")
+        message = "ArgumentError: --seed must not be negative, got -7\n"
+        assert run_quietly(command, "--seed", "-7", "--out", out) == (2, message)
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [("earlier.csv", "kept\n")]
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -1,6 +1,7 @@
-"""The README's CLI walkthrough, run as written: every `flexglove ...` line
-of its shell block goes through `main()` in a fresh directory, and the
-classify line it prints must be the one the README shows after `# -> `."""
+"""The README's code, run as written.  Every `flexglove ...` line of the CLI
+walkthrough's shell block goes through `main()` in a fresh directory, and
+the classify line it prints must be the one the README shows after `# -> `.
+The "Library use" Python block runs through exec()."""
 import re
 import shlex
 from pathlib import Path
@@ -33,3 +34,13 @@ def test_walkthrough_runs_as_written(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(argv) == 0, argv
     assert capsys.readouterr().out == expected + "\n"
+
+
+def test_library_block_runs_as_written():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n+```python\n(.*?)\n```", text, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    # 11 sphere and 10 cylinder diameters, each a centroid; 10 shared.
+    assert len(namespace["centroids"]) == 21
+    assert len(namespace["report"].verdicts) == 10

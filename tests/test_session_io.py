@@ -153,6 +153,16 @@ class TestReadSession:
         write_session_file(session, tmp_path / "s.session")
         assert read_session_file(tmp_path / "s.session") == session
 
+    def test_float_count_is_written_as_it_is_and_rejected(self, tmp_path):
+        # A "%d" template once wrote 512.9 as 512, which read back without
+        # complaint as a different session.
+        session = make_session()._replace(frames=[(0, 512.9, 1, 2, 3, 4)])
+        write_session_file(session, tmp_path / "s.session")
+        assert read_bytes(tmp_path / "s.session").endswith(b"\n0,512.9,1,2,3,4\n")
+        with pytest.raises(MalformedFrame) as exc:
+            read_session_file(tmp_path / "s.session")
+        assert str(exc.value) == "line 6: field '512.9' is not a non-negative decimal integer"
+
     def test_header_plus_100_frames(self):
         session = make_session(n_frames=100)
         assert len(read_session(format_session(session)).frames) == 100

@@ -117,8 +117,11 @@ def test_guard_flags_an_unused_import():
 
 
 def test_every_definition_has_a_caller():
-    parsed = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SOURCES + BENCH}
-    defining = {p: tree for p, tree in parsed.items() if p in SOURCES and p.name != "__init__.py"}
+    # __init__.py only re-exports, and an export is not a caller.  It is left
+    # out, so that no name it lists (an __all__ string, say) counts as a call.
+    files = [p for p in SOURCES + BENCH if p.name != "__init__.py"]
+    parsed = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in files}
+    defining = {p: tree for p, tree in parsed.items() if p in SOURCES}
     assert sorted(uncalled(defining, parsed)) == sorted(UNCALLED_ALLOWED)
 
 
