@@ -31,12 +31,14 @@ first fault with its line number.  The values then go through one shared
 check: schema, shape, diameter, period.
 
 The frame block, everything after the header, is read by one of two paths.
-The block pass: one grammar match over the whole block, one split into
-fields, timestamps through int() and counts through a table of the 1,024
-canonical spellings, which is also the range check.  parse_frame, line by
-line, for whatever the block pass rejects (a fault, a leading zero, a
-carriage return, a blank line, a field too long to convert): it returns the
-same frames or raises the error, with its line number, of the first fault.
+The block pass works on the block's bytes: with its digits deleted, a sound
+block is ",,,,,\n" once per line, which one translate and one compare check.
+Then one split into fields, timestamps through int() and counts through a
+table of the 1,024 canonical spellings as bytes, which is also the range
+check.  parse_frame, line by line on the decoded text, for whatever the block
+pass rejects (a fault, an empty field, a leading zero, a carriage return, a
+blank line, a field too long to convert): it returns the same frames or
+raises the error, with its line number, of the first fault.
 """
 from __future__ import annotations
 
@@ -71,12 +73,9 @@ def _is_decimal(fieldtext: str) -> bool:
     return fieldtext.isascii() and fieldtext.isdigit()
 
 
-# A frame block in which every line is six decimal fields and ends in \n.
-_FRAME_BLOCK = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
-
 # Each in-range count by its canonical spelling; a miss is a count over
 # ADC_MAX or one written with a leading zero.
-_COUNT_BY_TEXT = {str(n): n for n in range(ADC_MAX + 1)}
+_COUNT_BY_BYTES = {str(n).encode(): n for n in range(ADC_MAX + 1)}
 
 
 def _to_int(digits: str, error: type[ParseError], what: str, line_no: int | None) -> int:
@@ -163,26 +162,27 @@ def read_session(data: bytes) -> GraspSession:
     return GraspSession(
         user_id=user,
         obj=GraspObject(shape, diameter),
-        frames=_read_frames(text[header.end():]),
+        frames=_read_frames(data[header.end():]),
         sample_period_ms=period_ms,
     )
 
 
-def _read_frames(block: str) -> list[tuple[int, ...]]:
-    """The frames of a frame block, in one pass when the block is canonical.
+def _read_frames(block: bytes) -> list[tuple[int, ...]]:
+    """The frames of a frame block's ASCII bytes, in one pass when the block is canonical.
 
-    Any other block goes through parse_frame line by line, which raises the
-    error of its first faulty line: a frame that parse_frame rejects or a
-    timestamp that does not increase."""
-    if block and not block.endswith("\n"):
-        block += "\n"
-    if _FRAME_BLOCK.fullmatch(block) is not None:
-        fields = block.replace("\n", ",").split(",")
+    Any other block is decoded and goes through parse_frame line by line,
+    which raises the error of its first faulty line: a frame that parse_frame
+    rejects or a timestamp that does not increase."""
+    if block and not block.endswith(b"\n"):
+        block += b"\n"
+    separators = block.translate(None, b"0123456789")
+    if separators == b",,,,,\n" * (len(separators) // 6):
+        fields = block.replace(b"\n", b",").split(b",")
         fields.pop()  # the empty field after the final newline
         try:
             stamps = list(map(int, fields[0::6]))
             del fields[0::6]
-            counts = iter(list(map(_COUNT_BY_TEXT.__getitem__, fields)))
+            counts = iter(list(map(_COUNT_BY_BYTES.__getitem__, fields)))
         except (KeyError, ValueError):
             pass
         else:
@@ -192,7 +192,7 @@ def _read_frames(block: str) -> list[tuple[int, ...]]:
     frames = []
     last_t = -1
     # block is empty or ends in \n, so the last item of the split is "".
-    for i, line in enumerate(block.split("\n")[:-1], start=len(_HEADER_KEYS) + 1):
+    for i, line in enumerate(block.decode("ascii").split("\n")[:-1], start=len(_HEADER_KEYS) + 1):
         frame = parse_frame(line, line_no=i)
         if frame[0] <= last_t:
             raise OrderViolation(

@@ -58,12 +58,19 @@ class HandProfile(NamedTuple):
     mapping: dict[tuple[str, Shape], tuple[float, float]]
 
 
+def _check_seed(seed: int) -> None:
+    """A negative seed is an error: Random(-n) seeds as Random(n) does."""
+    if seed < 0:
+        raise ArgumentError(f"seed must not be negative, got {seed}")
+
+
 def make_hand_profile(
     user_id: str,
     seed: int,
     table: dict[tuple[str, Shape], FingerProfile] | None = None,
 ) -> HandProfile:
     """Draw one user's profile as a bounded perturbation of the table."""
+    _check_seed(seed)
     table = DEFAULT_PROFILE_TABLE if table is None else table
     rng = random.Random(seed)
     mapping: dict[tuple[str, Shape], tuple[float, float]] = {}
@@ -106,6 +113,7 @@ def simulate_session(
     deterministic per seed."""
     if n_frames < 0:
         raise ArgumentError("need n_frames >= 0")
+    _check_seed(seed)
     clean = tuple(clean_finger_adc(obj, finger, profile, sensor) for finger in FINGERS)
     # One draw per session, frame-major and finger-minor; finger j reads
     # every fifth offset from the j-th.
@@ -133,6 +141,7 @@ def simulate_cohort(
         raise ArgumentError("object list is empty")
     if n_users < 1:
         raise ArgumentError(f"need at least one user, got {n_users}")
+    _check_seed(base_seed)
     sensor = SensorConfig() if sensor is None else sensor
 
     master = random.Random(base_seed)

@@ -13,14 +13,18 @@ from flexglove import (
     ParseError,
     RangeViolation,
     SchemaError,
+    SensorConfig,
     Shape,
     format_session,
+    make_hand_profile,
     parse_frame,
     read_session,
     read_session_file,
+    simulate_session,
     write_session_file,
 )
 from flexglove import session_io
+from flexglove.cli import main
 from flexglove.errors import _READ_CHUNK, read_bytes
 from oracles import read_session_by_header_loop, read_session_by_line
 
@@ -343,6 +347,37 @@ def _stamp_not_increasing(data, lines):
     lines[i] = stamp + "," + lines[i].partition(",")[2]
 
 
+def _empty_field(data, lines):
+    """One field emptied: a ",," or, for the timestamp, a line that starts with ","."""
+    i = _pick_line(data, lines)
+    fields = lines[i].split(",")
+    fields[data.draw(st.integers(0, len(fields) - 1))] = ""
+    lines[i] = ",".join(fields)
+
+
+def _int_accepted_character(data, lines):
+    """A sign, a space or an underscore in one field: int() accepts each."""
+    i = _pick_line(data, lines)
+    fields = lines[i].split(",")
+    k = data.draw(st.integers(0, len(fields) - 1))
+    edit = data.draw(st.sampled_from(["+{}", "-{}", " {}", "{} ", "1_{}"]))
+    fields[k] = edit.format(fields[k])
+    lines[i] = ",".join(fields)
+
+
+def _field_to_next_line(data, lines):
+    """The last field of line i starts line i + 1: the separators keep their count."""
+    i = data.draw(st.integers(0, len(lines) - 2))
+    lines[i], _, field = lines[i].rpartition(",")
+    lines[i + 1] = field + "," + lines[i + 1]
+
+
+def _nul_byte(data, lines):
+    i = _pick_line(data, lines)
+    at = data.draw(st.integers(0, len(lines[i])))
+    lines[i] = lines[i][:at] + "\x00" + lines[i][at:]
+
+
 def _no_final_newline(text):
     return text[:-1] if text.endswith("\n") else text
 
@@ -350,7 +385,10 @@ def _no_final_newline(text):
 LINE_MUTATIONS = [
     _leading_zero, _carriage_return, _blank_line_inside, _blank_line_at_end, _five_fields,
     _seven_fields, _non_ascii_digit, _count_1024_last, _over_long_field, _stamp_not_increasing,
+    _empty_field, _int_accepted_character, _field_to_next_line, _nul_byte,
 ]
+# The mutations that edit two lines.
+_TWO_LINE_MUTATIONS = {_stamp_not_increasing, _field_to_next_line}
 
 
 def _outcome(read, data):
@@ -373,7 +411,7 @@ class TestBlockLineParity:
         period_line, _, block = body.partition("\n")
         lines = block.split("\n")[:-1]
         for _ in range(data.draw(st.integers(1, 3))):
-            usable = [m for m in LINE_MUTATIONS if len(lines) >= (2 if m is _stamp_not_increasing else 1)]
+            usable = [m for m in LINE_MUTATIONS if len(lines) >= (2 if m in _TWO_LINE_MUTATIONS else 1)]
             if usable:
                 data.draw(st.sampled_from(usable))(data, lines)
         text = header + "# period_ms=" + period_line + "\n" + "".join(line + "\n" for line in lines)
@@ -385,7 +423,13 @@ class TestBlockLineParity:
     @pytest.mark.parametrize(
         "body",
         [b"", b"0,1,2,3,4,5", b"\n", b"0,1,2,3,4,5\n\n", b"0,1,2,3,4,5\n0,1,2,3,4,5\n",
-         b"0,1,2,3,4,05\n", b"0,1,2,3,4,1024\n", b"0,1,2,3,4,5\r\n"],
+         b"0,1,2,3,4,05\n", b"0,1,2,3,4,1024\n", b"0,1,2,3,4,5\r\n",
+         # An empty field, then a sign, a space or an underscore, all of
+         # which int() accepts, then a field moved to the next line and a NUL.
+         b"100,1,,3,4,5\n", b",1,2,3,4,5\n", b"100,1,2,3,4,\n",
+         b"+100,1,2,3,4,5\n", b"-100,1,2,3,4,5\n", b" 100,1,2,3,4,5\n", b"100 ,1,2,3,4,5\n",
+         b"1_00,1,2,3,4,5\n", b"100,+1,2,3,4,5\n", b"100,1,2,3,4, 5\n",
+         b"100,1,2,3,4\n5,150,1,2,3,4,5\n", b"100,1,2,3,4,5\x00\n", b"100\x00,1,2,3,4,5\n"],
     )
     def test_edge_blocks_match_line_reader(self, body):
         raw = format_session(make_session(n_frames=2)) + body
@@ -399,6 +443,28 @@ class TestBlockLineParity:
     )
     def test_short_and_unterminated_headers_match_line_reader(self, raw):
         assert _outcome(read_session, raw) == _outcome(read_session_by_line, raw)
+
+    def test_simulated_files_never_reach_the_line_loop(self, tmp_path, monkeypatch):
+        # A block that fell back to the line loop would read the same, only
+        # slower, so no other test would notice.
+        out = tmp_path / "cohort"
+        assert main(["simulate", "--out", str(out), "--seed", "2020"]) == 0
+        paths = sorted(out.glob("*.session"))
+        assert len(paths) == 201
+        # A four-frame capture, built as the sweep benchmark builds its inputs.
+        short = simulate_session(
+            GraspObject(Shape.CYLINDER, 6.25), make_hand_profile("c01", 7), SensorConfig(), 8, n_frames=4
+        )
+        paths.append(tmp_path / "short.session")
+        write_session_file(short, paths[-1])
+
+        def unreachable(line, line_no=None):
+            raise AssertionError(f"line {line_no} of a sound frame block went to the line loop")
+
+        monkeypatch.setattr(session_io, "parse_frame", unreachable)
+        sessions = [read_session_file(path) for path in paths]
+        assert [format_session(s) for s in sessions] == [read_bytes(path) for path in paths]
+        assert sessions[-1] == short
 
 
 # Each mutation edits the five header lines of a valid session (a list of

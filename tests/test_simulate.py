@@ -143,6 +143,22 @@ class TestCohort:
         with pytest.raises(ArgumentError):
             simulate_cohort([], 3, 2020, SENSOR)
 
+    # Random(-n) seeds as Random(n), so each of these once returned what the
+    # positive seed gives.
+    @pytest.mark.parametrize(
+        "call, seed",
+        [
+            (lambda: simulate_cohort(default_objects(Shape.SPHERE)[:2], 2, -3, SENSOR), -3),
+            (lambda: simulate_session(GraspObject(Shape.SPHERE, 8.0), default_hand_profile(), SENSOR, seed=-9), -9),
+            (lambda: make_hand_profile("u", -4), -4),
+        ],
+        ids=["simulate_cohort", "simulate_session", "make_hand_profile"],
+    )
+    def test_negative_seed_rejected(self, call, seed):
+        with pytest.raises(ArgumentError) as exc:
+            call()
+        assert str(exc.value) == f"seed must not be negative, got {seed}"
+
     def test_reproducible(self):
         objs = default_objects(Shape.CYLINDER)
         a = simulate_cohort(objs, 3, 77, SENSOR)
