@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import ArgumentError, PreconditionViolation, content_lines, finite_floats
@@ -156,48 +156,66 @@ def centroids_to_csv(centroids: list[Centroid], context: ScaleContext) -> str:
 
 
 _ROW_KINDS = {"centroid", "raw_min", "raw_max"}
+_HEADER_LINE = ",".join(_CENTROID_HEADER) + "\n"
+_ROW_SEPARATORS = b",,,,,,,\n"
+# Every byte but the two separators and the bytes content_lines reads as a
+# line break or a comment, so that deleting these from a body laid out as
+# centroids_to_csv writes it leaves _ROW_SEPARATORS once per row.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n#\r\x0b\x0c\x1c\x1d\x1e")
 
 
 def centroids_from_csv(text: str) -> tuple[list[Centroid], ScaleContext]:
     """The centroids and raw scale context of a centroid file.
 
-    A file whose every row is sound is read in bulk, by _read_rows; any other
-    goes to _centroids_by_row, which raises the error, with its line number,
-    of the first faulty row."""
-    lines = content_lines(text)
-    _, header = next(lines, (0, ""))
-    if header.split(",") == _CENTROID_HEADER:
-        read = _read_rows([line.split(",") for _, line in lines])
-        if read is not None:
-            return read[0], _checked_context(*read)
+    A file laid out as centroids_to_csv writes it, every row sound, is read
+    in one pass by _read_body; any other goes to _centroids_by_row, which
+    gives the same result or raises the error, with its line number, of the
+    first faulty row."""
+    if text.startswith(_HEADER_LINE):
+        body = text[len(_HEADER_LINE) :]
+        if body.isascii():
+            read = _read_body(body if body.endswith("\n") else body + "\n")
+            if read is not None:
+                return read[0], _checked_context(*read)
     return _centroids_by_row(text)
 
 
-def _read_rows(rows: list[list[str]]) -> tuple[list[Centroid], dict, dict] | None:
-    """The centroids, raw minima and raw maxima of a centroid file's rows, in
-    a few passes over all of them, or None when any row is faulty."""
-    if {*map(len, rows)} != {len(_CENTROID_HEADER)}:
+def _read_body(body: str) -> tuple[list[Centroid], dict, dict] | None:
+    """The centroids, raw minima and raw maxima of the ASCII rows after a
+    centroid file's header, each ending in \\n, in a few passes over all of
+    them; or None when the layout is not the one centroids_to_csv writes or
+    any row is faulty."""
+    separators = body.encode().translate(None, _NOT_SEPARATOR)
+    rows = len(separators) // len(_ROW_SEPARATORS)
+    if separators != _ROW_SEPARATORS * rows:
         return None
-    kinds, names, diameters, *fingers = zip(*rows)
-    if not (_ROW_KINDS.issuperset(kinds) and SHAPE_BY_NAME.keys() >= {*names}):
+    fields = body.replace("\n", ",").split(",")
+    del fields[-1]  # the empty field after the last row's \n
+    kinds, names = fields[0::8], fields[1::8]
+    # The n centroid rows come first, then the raw rows.
+    n = kinds.count("centroid")
+    if "centroid" in kinds[n:] or not (_ROW_KINDS.issuperset(kinds) and SHAPE_BY_NAME.keys() >= {*names}):
         return None
-    is_centroid = list(map("centroid".__eq__, kinds))
-    n = sum(is_centroid)
     # A centroid row's numbers start at diameter_cm; a raw row's start at the
     # thumb.  So numbers holds the n diameters, then one column per finger.
     try:
-        numbers = list(map(float, chain(compress(diameters, is_centroid), *fingers)))
+        numbers = list(map(float, chain(fields[2 : 8 * n : 8], *(fields[k::8] for k in range(3, 8)))))
     except ValueError:
         return None
-    if not all(map(math.isfinite, numbers)) or min(numbers[:n], default=1.0) <= 0:
+    diameters = numbers[:n]
+    # A sum of finite numbers that overflows only sends the file to the row loop.
+    if not math.isfinite(sum(numbers)) or min(diameters, default=1.0) <= 0:
         return None
-    vectors = list(zip(*(numbers[i : i + len(rows)] for i in range(n, len(numbers), len(rows)))))
+    vectors = list(zip(*(numbers[i : i + rows] for i in range(n, len(numbers), rows))))
     shapes = list(map(SHAPE_BY_NAME.__getitem__, names))
-    centroids = list(map(Centroid, compress(shapes, is_centroid), numbers[:n], compress(vectors, is_centroid)))
     scales: dict[str, dict[Shape, tuple[float, ...]]] = {"raw_min": {}, "raw_max": {}}
-    for kind, shape, vector in zip(kinds, shapes, vectors):
-        if kind != "centroid":
-            scales[kind][shape] = vector
+    for kind, shape, vector in zip(kinds[n:], shapes[n:], vectors[n:]):
+        scales[kind][shape] = vector
+    # A repeated row is an error, which the row loop raises with its line.
+    # (Each zip of diameters stops after the n centroid rows.)
+    if len({*zip(names, diameters)}) + len(scales["raw_min"]) + len(scales["raw_max"]) != rows:
+        return None
+    centroids = list(map(tuple.__new__, repeat(Centroid), zip(shapes, diameters, vectors)))
     return centroids, scales["raw_min"], scales["raw_max"]
 
 
@@ -208,6 +226,7 @@ def _centroids_by_row(text: str) -> tuple[list[Centroid], ScaleContext]:
     if header.split(",") != _CENTROID_HEADER:
         raise ArgumentError(f"unexpected centroid file header: {header!r}")
     centroids: list[Centroid] = []
+    seen: set[tuple[Shape, float]] = set()
     scales: dict[str, dict[Shape, tuple[float, ...]]] = {"raw_min": {}, "raw_max": {}}
     for lineno, line in lines:
         where = f"centroid file line {lineno}"
@@ -223,8 +242,13 @@ def _centroids_by_row(text: str) -> tuple[list[Centroid], ScaleContext]:
             diameter_cm, *values = finite_floats(row[2:], _CENTROID_HEADER[2:], where)
             if not diameter_cm > 0:
                 raise ArgumentError(f"{where}: diameter_cm must be positive, got {row[2]!r}")
+            if (shape, diameter_cm) in seen:
+                raise ArgumentError(f"{where}: repeats the centroid row for ({shape_name}, {diameter_cm:g} cm)")
+            seen.add((shape, diameter_cm))
             centroids.append(Centroid(shape=shape, diameter_cm=diameter_cm, vector=tuple(values)))
         elif kind in scales:
+            if shape in scales[kind]:
+                raise ArgumentError(f"{where}: repeats the {kind} row for {shape_name}")
             scales[kind][shape] = tuple(finite_floats(row[3:], FINGERS, where))
         else:
             raise ArgumentError(f"{where}: unknown centroid row kind {kind!r}")

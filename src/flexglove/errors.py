@@ -104,7 +104,8 @@ def read_ascii(path, what: str) -> str:
     """The text of a hand-edited input file; a non-ASCII byte is an ArgumentError."""
     # Bytes, then decode: half the time of Path.read_text.  Its newline
     # translation is not needed, since every caller splits the text through
-    # content_lines, whose splitlines() ends a line at \r, \n or \r\n alike.
+    # content_lines, whose splitlines() ends a line at \r, \n or \r\n alike
+    # (centroids_from_csv's one-pass read takes only text holding no \r).
     data = read_bytes(path)
     try:
         return data.decode("ascii")

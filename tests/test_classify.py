@@ -150,6 +150,13 @@ class TestClassifySession:
             Shape.CYLINDER, 8.0, math.dist((0.5,) * 5, (0.25,) * 5)
         )
 
+    def test_repeated_centroid_classifies(self):
+        # A centroid file may not repeat a row, but a library caller's list
+        # may: two centroids that tie on every rank still give one answer.
+        centroids = [Centroid(Shape.SPHERE, 8.0, (0.25,) * 5), Centroid(Shape.CYLINDER, 9.0, (0.75,) * 5)]
+        session = query_session((32,) * 5)
+        assert classify_session(session, centroids * 2, simple_context()) == (Shape.SPHERE, 8.0, 0.0)
+
     def test_centroid_order_is_irrelevant(self):
         rng = random.Random(4)
         centroids = [

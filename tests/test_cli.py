@@ -476,21 +476,29 @@ class TestClassify:
         assert f"ArgumentError: centroid file line {line_no}: thumb must be finite, got '{value}'" in err
         assert "Traceback" not in err
 
-    def test_repeated_centroid_row_classifies(self, small_cohort_dir, tmp_path, capsys):
-        # Two rows that tie exactly on every rank must not be compared themselves.
+    @pytest.mark.parametrize(
+        "prefix, respelled, message",
+        [
+            ("centroid,sphere,6,", "centroid,sphere,6,", "repeats the centroid row for (sphere, 6 cm)"),
+            ("centroid,sphere,6,", "centroid,sphere,6.0,", "repeats the centroid row for (sphere, 6 cm)"),
+            ("raw_min,sphere,", "raw_min,sphere,", "repeats the raw_min row for sphere"),
+            ("raw_max,cylinder,", "raw_max,cylinder,", "repeats the raw_max row for cylinder"),
+        ],
+    )
+    def test_repeated_row_is_argument_error(self, small_cohort_dir, tmp_path, capsys, prefix, respelled, message):
+        # A second raw row used to replace the first without a word, and a
+        # second centroid row was kept as one more centroid.
         analysis = tmp_path / "analysis"
         assert run("analyze", small_cohort_dir, "--out", analysis) == 0
-        session = sorted(small_cohort_dir.glob("sphere_6cm_*.session"))[0]
-        capsys.readouterr()
-        assert run("classify", session, analysis / "centroids.csv") == 0
-        reference = capsys.readouterr().out
         text = (analysis / "centroids.csv").read_text()
-        doubled = tmp_path / "doubled.csv"
-        doubled.write_text(text + "".join(line + "\n" for line in text.splitlines() if line.startswith("centroid,")))
-        assert run("classify", session, doubled) == 0
-        out, err = capsys.readouterr()
-        assert out == reference
-        assert "Traceback" not in err
+        row = next(line for line in text.splitlines(True) if line.startswith(prefix))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text + row.replace(prefix, respelled))
+        line_no = text.count("\n") + 1
+        session = sorted(small_cohort_dir.glob("*.session"))[0]
+        capsys.readouterr()
+        assert run("classify", session, bad) == 2
+        assert capsys.readouterr().err == f"ArgumentError: centroid file line {line_no}: {message}\n"
 
     def test_centroid_file_without_raw_scale_is_argument_error(self, small_cohort_dir, tmp_path, capsys):
         analysis = tmp_path / "analysis"
@@ -692,11 +700,12 @@ class TestConfigFuzz:
 
 
 # Replacement fields for the centroid fuzz: extreme magnitudes of both signs,
-# spellings the finite-number rule rejects, and the file's own keywords.
+# spellings the finite-number rule rejects, the file's own keywords, and
+# bytes that move it off the layout the bulk reader takes.
 CENTROID_TOKENS = [
     "0", "-0", "1", "-1", "1e308", "-1e308", "1.7976931348623157e308", "5e-324",
     "-5e-324", "1e-300", "nan", "inf", "", "x", "sphere", "cylinder", "centroid",
-    "raw_min", "raw_max",
+    "raw_min", "raw_max", ",", "\r", "#", " 0.5", "\x80",
 ]
 # Line 22 is raw_min,cylinder and line 23 raw_max,cylinder: their thumb span
 # overflows to inf.
@@ -705,6 +714,17 @@ OVERFLOWING_SPAN = [("value", 22, 3, "-1.7976931348623157e308"), ("value", 23, 3
 SWAPPED_EXTREMES = [
     ("value", 22, 3, "1e308"), ("value", 23, 3, "-1e308"), ("value", 1, 2, "5e-324"), ("value", 1, 3, "1e308"),
 ]
+# A non-ASCII field: the bulk reader's encode() must never see it.
+NON_ASCII_FIELD = [("value", 1, 3, "\x80")]
+
+
+def outcome(read, text):
+    """What a centroid reader gives for ``text``: its result, or the type and
+    message of the error it raised."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestClassifyFuzz:
@@ -728,29 +748,78 @@ class TestClassifyFuzz:
     @given(edit_lists(40, CENTROID_TOKENS))
     @example(OVERFLOWING_SPAN)
     @example(SWAPPED_EXTREMES)
+    @example(NON_ASCII_FIELD)
     def test_bulk_reader_matches_row_loop(self, published, edits):
         """Equal centroids and context, or the same error type and message."""
         _, centroids = published
         text = "\n".join(apply_edits(centroids.read_text().splitlines(), edits))
+        assert outcome(centroids_from_csv, text) == outcome(_centroids_by_row, text)
 
-        def outcome(read):
-            try:
-                return read(text)
-            except Exception as exc:
-                return type(exc), str(exc)
+    @staticmethod
+    def edge_files(text):
+        """Variants of a centroid file, each named: line endings, rows split
+        unevenly, comments, blank lines, spaces, non-ASCII text, overflow,
+        repeated rows, rows out of order, and characters content_lines reads
+        as a line break or a comment, hidden in the one field no reader
+        converts (a raw row's diameter_cm)."""
+        header, first, second, *rest = text.splitlines()
+        raw = next(i for i, line in enumerate(rest) if line.startswith("raw_min,"))
 
-        assert outcome(centroids_from_csv) == outcome(_centroids_by_row)
+        def with_lines(*lines, edit=None):
+            body = list(rest)
+            if edit is not None:
+                body[raw] = body[raw].replace(",,", f",{edit},", 1)
+            return "".join(line + "\n" for line in (header, *lines, *body))
 
-    def test_sound_file_is_read_in_bulk(self, published, monkeypatch):
+        row = first.split(",")
+        moved, last = first.rsplit(",", 1)
+        files = {
+            "crlf": text.replace("\n", "\r\n"),
+            "cr only": text.replace("\n", "\r"),
+            "no final newline": text[:-1],
+            "field moved to the next line": with_lines(moved, f"{last},{second}"),
+            "comment row": with_lines("#,,,,,,,", first, second),
+            "trailing comment": with_lines(first + " # comment", second),
+            "blank line": with_lines(first, "", second),
+            "leading space": with_lines(" " + first, second),
+            "tab in a shape field": with_lines(first.replace(",", ",\t", 1), second),
+            "tab in a number field": with_lines(",".join([*row[:3], "\t" + row[3], *row[4:]]), second),
+            "trailing tab": with_lines(first + "\t", second),
+            "non-ASCII comment": with_lines("# \u00e9", first, second),
+            "non-ASCII field": with_lines(first.replace("centroid", "centro\u00efd"), second),
+            "1e999": with_lines(moved + ",1e999", second),
+            "finite sum overflows": with_lines(*(line.rsplit(",", 1)[0] + ",1e308" for line in (first, second))),
+            "empty file": "",
+            "header only": header + "\n",
+            "repeated centroid row": with_lines(first, second, first),
+            "repeated raw row": with_lines(first, second, rest[raw]),
+        }
+        for name, diameter in [("raw rows first", ""), ("raw rows first, with diameters", "7")]:
+            raw_rows = [line.replace(",,", f",{diameter},", 1) for line in rest[raw:]]
+            files[name] = "".join(line + "\n" for line in (header, *raw_rows, first, second, *rest[:raw]))
+        breaks = [("comment", "#"), ("cr", "\r"), ("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"), ("nel", "\x85")]
+        for name, char in [*breaks, ("line separator", "\u2028")]:
+            files[f"{name} in a raw diameter"] = with_lines(first, second, edit=char)
+        return files
+
+    def test_edge_files_match_row_loop(self, published):
+        """Equal centroids and context, or the same error type and message."""
         _, centroids = published
-        text = centroids.read_text()
-        expected = _centroids_by_row(text)
+        for name, text in self.edge_files(centroids.read_text()).items():
+            assert outcome(centroids_from_csv, text) == outcome(_centroids_by_row, text), name
+
+    def test_sound_file_is_read_in_bulk(self, published, sweep_analysis, monkeypatch):
+        """The seed-2020 centroid file, and the 82-centroid file of the
+        benchmark's sweep, never reach the row-at-a-time reader."""
+        texts = [published[1].read_text(), (sweep_analysis[1] / "centroids.csv").read_text()]
+        expected = [_centroids_by_row(text) for text in texts]
+        assert [len(centroids) for centroids, _ in expected] == [21, 82]
 
         def unreachable(text):
             raise AssertionError("a sound centroid file went to the row-at-a-time reader")
 
         monkeypatch.setattr(classify, "_centroids_by_row", unreachable)
-        assert centroids_from_csv(text) == expected
+        assert [centroids_from_csv(text) for text in texts] == expected
 
 
 # Replacement fields for the session fuzz: counts at and past the 10-bit

@@ -6,12 +6,9 @@ output would pass them.  These digests were recorded from the published
 pipeline; this test reads them and never writes them.
 """
 import hashlib
-import json
-from pathlib import Path
 
 from flexglove.cli import main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden_2020.json"
 ANALYZE_OUTPUTS = ("cohort.csv", "regression.csv", "discriminability.csv", "centroids.csv")
 
 
@@ -19,27 +16,44 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_seed_2020_simulate_and_analyze_match_committed_digests(tmp_path, capsys):
-    golden = json.loads(GOLDEN.read_text())
-    assert golden["seed"] == 2020
-    digests = golden["digests"]
+def classify_digests(sessions, names, centroids, capsys, *flags):
+    """The digest of each session's `classify` line, by session file name."""
+    capsys.readouterr()
+    digests = {}
+    for name in names:
+        assert main(["classify", str(sessions / name), str(centroids), *flags]) == 0
+        digests[name] = sha256(capsys.readouterr().out.encode("ascii"))
+    return digests
 
+
+def test_seed_2020_simulate_analyze_and_classify_match_committed_digests(golden_digests, tmp_path, capsys):
     sessions, analysis = tmp_path / "sessions", tmp_path / "analysis"
     assert main(["simulate", "--seed", "2020", "--out", str(sessions)]) == 0
     written = {p.name: sha256(p.read_bytes()) for p in sessions.glob("*.session")}
-    assert written == digests["cohort/0"]
+    assert written == golden_digests["cohort/0"]
 
     assert main(["analyze", str(sessions), "--out", str(analysis)]) == 0
     analyzed = {name: sha256((analysis / name).read_bytes()) for name in ANALYZE_OUTPUTS}
-    assert analyzed == digests["replay-analyze/0"]
+    assert analyzed == golden_digests["replay-analyze/0"]
 
-    # The README walkthrough's classify line, pinned by the same file.
+    # The README walkthrough's classify line, then every session's.
     capsys.readouterr()
-    session = sessions / "sphere_9cm_s03.session"
-    assert main(["classify", str(session), str(analysis / "centroids.csv")]) == 0
-    line = capsys.readouterr().out
-    assert line == "shape=sphere diameter_cm=9 distance=0.030446\n"
-    assert sha256(line.encode("ascii")) == digests["replay-classify/0"][session.name]
+    assert main(["classify", str(sessions / "sphere_9cm_s03.session"), str(analysis / "centroids.csv")]) == 0
+    assert capsys.readouterr().out == "shape=sphere diameter_cm=9 distance=0.030446\n"
+    classified = classify_digests(sessions, sorted(written), analysis / "centroids.csv", capsys)
+    assert classified == golden_digests["replay-classify/0"]
+
+
+def test_seed_2020_sweep_analyze_and_classify_match_committed_digests(golden_digests, sweep_analysis, capsys):
+    """The benchmark's `sweep` job: 82 centroids, one four-frame query per
+    (shape, diameter)."""
+    sweep, analysis = sweep_analysis
+    analyzed = {name: sha256((analysis / name).read_bytes()) for name in ANALYZE_OUTPUTS}
+    assert analyzed == golden_digests["sweep-analyze"]
+    flags = ("--expected-frames", str(sweep.frames))
+    classified = classify_digests(sweep.directory, sweep.subset, analysis / "centroids.csv", capsys, *flags)
+    assert len(classified) == 82
+    assert classified == golden_digests["sweep-classify"]
 
 
 # bench/golden_2020.json holds no characterize outputs; these digests were
