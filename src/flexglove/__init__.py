@@ -55,6 +55,7 @@ from .simulate import (
     HandProfile,
     finger_bend_diameter,
     make_hand_profile,
+    seeded_random,
     simulate_cohort,
     simulate_session,
 )

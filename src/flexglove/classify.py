@@ -13,15 +13,8 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import ArgumentError, PreconditionViolation, content_lines, finite_floats
-from .stats import CohortTable, intervals_overlap, session_means
+from .stats import CohortTable, ScaleContext, intervals_overlap, session_means
 from .types import DEFAULT_FRAME_COUNT, FINGERS, SHAPE_BY_NAME, GraspSession, Shape
-
-# A new session has no diameter sweep of its own, so min-max normalization is
-# impossible per-user.  Classification instead reuses the training cohort's
-# per-finger raw extremes (per shape hypothesis) as a fixed calibration: each
-# shape maps to (lows, highs), two 5-tuples in FINGERS order, which are the
-# shape's raw_min and raw_max rows of a centroid file.
-ScaleContext = dict[Shape, tuple[tuple[float, ...], tuple[float, ...]]]
 
 
 class Centroid(NamedTuple):
@@ -86,6 +79,9 @@ def build_centroids(table: CohortTable) -> list[Centroid]:
     return centroids
 
 
+# A new session has no diameter sweep of its own, so min-max normalization is
+# impossible per-user.  Classification instead reuses the training cohort's
+# per-finger raw extremes (per shape hypothesis) as a fixed calibration.
 def _normalize_query(
     raw_means: tuple[float, ...], shape: Shape, context: ScaleContext
 ) -> tuple[float, ...]:
@@ -136,8 +132,8 @@ def classify_session(
 #   kind,shape,diameter_cm,thumb,index,middle,ring,pinky
 # kind=centroid rows hold normalized finger means for one (shape, diameter);
 # kind=raw_min / kind=raw_max rows hold the per-finger raw scale for a shape
-# (diameter_cm left empty).  Fields are never quoted: none of them can hold a
-# comma.
+# (diameter_cm must be empty).  Fields are never quoted: none of them can hold
+# a comma.
 
 _CENTROID_HEADER = ["kind", "shape", "diameter_cm", *FINGERS]
 
@@ -192,9 +188,11 @@ def _read_body(body: str) -> tuple[list[Centroid], dict, dict] | None:
     fields = body.replace("\n", ",").split(",")
     del fields[-1]  # the empty field after the last row's \n
     kinds, names = fields[0::8], fields[1::8]
-    # The n centroid rows come first, then the raw rows.
+    # The n centroid rows come first, then the raw rows, whose diameter_cm is empty.
     n = kinds.count("centroid")
     if "centroid" in kinds[n:] or not (_ROW_KINDS.issuperset(kinds) and SHAPE_BY_NAME.keys() >= {*names}):
+        return None
+    if any(fields[8 * n + 2 :: 8]):
         return None
     # A centroid row's numbers start at diameter_cm; a raw row's start at the
     # thumb.  So numbers holds the n diameters, then one column per finger.
@@ -247,6 +245,8 @@ def _centroids_by_row(text: str) -> tuple[list[Centroid], ScaleContext]:
             seen.add((shape, diameter_cm))
             centroids.append(Centroid(shape=shape, diameter_cm=diameter_cm, vector=tuple(values)))
         elif kind in scales:
+            if row[2]:
+                raise ArgumentError(f"{where}: a {kind} row's diameter_cm must be empty, got {row[2]!r}")
             if shape in scales[kind]:
                 raise ArgumentError(f"{where}: repeats the {kind} row for {shape_name}")
             scales[kind][shape] = tuple(finite_floats(row[3:], FINGERS, where))

@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -31,9 +30,10 @@ from .simulate import (
     DEFAULT_CYLINDER_USERS,
     DEFAULT_SPHERE_USERS,
     parse_profile_table,
+    seeded_random,
     simulate_cohort,
 )
-from .stats import build_cohort, cohort_fits, sem
+from .stats import build_cohort, cohort_fits, summarize
 from .types import DEFAULT_FRAME_COUNT, FINGERS, GraspObject, Shape, default_objects
 
 DEFAULT_SEED = 2020
@@ -54,11 +54,11 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outputs: list[str]) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[str]) -> None:
     manifest = {
         "tool": "flexglove",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "arguments": {
             k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
         },
@@ -72,12 +72,6 @@ def _sensor_from_args(args: argparse.Namespace) -> SensorConfig:
     return SensorConfig() if args.config is None else parse_config(read_ascii(args.config, "config file"))
 
 
-def _check_seed(args: argparse.Namespace) -> None:
-    """A negative --seed is an error: Random(-n) seeds as Random(n) does."""
-    if args.seed < 0:
-        raise ArgumentError(f"--seed must not be negative, got {args.seed}")
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     """Create --out.  Each command calls this only once every output is
     computed, so a command that fails leaves --out as it was.  An empty
@@ -89,37 +83,36 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _write_outputs(args: argparse.Namespace, command: str, texts: dict[str, str]) -> None:
+def _write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
     """Create --out, write each text under its file name, then the manifest
     listing those names in order."""
     out = _out_dir(args)
     for name, text in texts.items():
         (out / name).write_text(text, encoding="ascii", newline="")
-    _write_manifest(out, command, args, list(texts))
+    _write_manifest(out, args, list(texts))
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
-    _check_seed(args)
+    rng = seeded_random(args.seed)
     sensor = _sensor_from_args(args)
     diameters = range(SWEEP_START_CM, SWEEP_END_CM - 1, -1)
     # One draw: SWEEP_TRIALS offsets per diameter from the widest bend down,
     # then the stability stream.
     n_sweep = SWEEP_TRIALS * len(diameters)
-    draws = noise_draws(random.Random(args.seed), sensor, n_sweep + STABILITY_SAMPLES)
+    draws = noise_draws(rng, sensor, n_sweep + STABILITY_SAMPLES)
 
     sweep_rows = []
     for i, d in enumerate(diameters):
         clean = clean_adc_at_diameter(float(d), sensor)
         trials = sample_with_noise(clean, draws[i * SWEEP_TRIALS:(i + 1) * SWEEP_TRIALS], sensor)
-        sweep_rows.append(
-            [str(d), _fmt(sum(trials) / len(trials)), _fmt(sem(trials)), str(len(trials))]
-        )
+        st = summarize(trials)
+        sweep_rows.append([str(d), _fmt(st.mean), _fmt(st.sem), str(st.n)])
     clean = clean_adc_at_diameter(STABILITY_DIAMETER_CM, sensor)
     stability_rows = [
         [str(i), str(v)] for i, v in enumerate(sample_with_noise(clean, draws[n_sweep:], sensor))
     ]
 
-    _write_outputs(args, "characterize", {
+    _write_outputs(args, {
         "sweep.csv": _csv(["diameter_cm", "adc_mean", "adc_sem", "n_trials"], sweep_rows),
         "stability.csv": _csv(["sample_index", "adc"], stability_rows),
     })
@@ -143,7 +136,6 @@ def _parse_diameters(text: str) -> list[float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_seed(args)
     sensor = _sensor_from_args(args)
     table = (
         None if args.profile_table is None else parse_profile_table(read_ascii(args.profile_table, "profile table"))
@@ -167,7 +159,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             write_session_file(session, out / name)
             names.append(name)
-    _write_manifest(out, "simulate", args, sorted(names))
+    _write_manifest(out, args, sorted(names))
     print(f"wrote {len(names)} session files to {out}")
     return 0
 
@@ -211,7 +203,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             + [str(verdict.discriminable).lower()]
         )
 
-    _write_outputs(args, "analyze", {
+    _write_outputs(args, {
         "cohort.csv": _csv(["shape", "diameter_cm", "finger", "mean", "sem", "n"], cohort_rows),
         "regression.csv": _csv(
             ["shape", "finger", "fit_range", "slope_per_cm", "intercept", "r2", "n_points"], fit_rows

@@ -85,7 +85,7 @@ class SensorConfig(namedtuple("SensorConfig", "curve r_fixed vcc adc_levels nois
                 f"noise_amplitude must be an integer in 0..{MAX_NOISE_AMPLITUDE}, "
                 f"got {noise_amplitude}"
             )
-        return tuple.__new__(cls, (curve, r_fixed, vcc, adc_levels, noise_amplitude))
+        return tuple.__new__(cls, (curve, r_fixed, vcc, int(adc_levels), int(noise_amplitude)))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -169,7 +169,7 @@ def noise_draws(rng: random.Random, cfg: SensorConfig, count: int) -> bytes:
     is a word's top byte, which holds those k <= 8 bits.  The last call's
     unused words are lost, so one call for n + m offsets is not two calls.
     """
-    span = 2 * int(cfg.noise_amplitude) + 1
+    span = 2 * cfg.noise_amplitude + 1
     top_bits, rejected = _draw_tables(span)
     k = span.bit_length()
     draws = b""
@@ -186,7 +186,7 @@ def noise_draws(rng: random.Random, cfg: SensorConfig, count: int) -> bytes:
 def sample_with_noise(clean_adc: int, draws: bytes, cfg: SensorConfig) -> list[int]:
     """One noisy reading per offset r of ``draws``: the clean count plus
     r - amplitude, clamped to the converter range."""
-    amp = int(cfg.noise_amplitude)
+    amp = cfg.noise_amplitude
     top = cfg.adc_levels - 1
     readings = [max(0, min(v, top)) for v in range(clean_adc - amp, clean_adc + amp + 1)]
     return [readings[r] for r in draws]
@@ -219,6 +219,8 @@ def parse_config(text: str) -> SensorConfig:
             raise ArgumentError(f"config line {lineno}: expected 'key = value', got {line!r}")
         if key not in _CURVE_KEYS + _CONFIG_KEYS:
             raise ArgumentError(f"config line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ArgumentError(f"config line {lineno}: repeats the key {key!r}")
         [number] = finite_floats([value], [key], f"config line {lineno}")
         if key in _INTEGER_KEYS:
             if not number.is_integer():

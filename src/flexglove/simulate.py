@@ -58,10 +58,12 @@ class HandProfile(NamedTuple):
     mapping: dict[tuple[str, Shape], tuple[float, float]]
 
 
-def _check_seed(seed: int) -> None:
-    """A negative seed is an error: Random(-n) seeds as Random(n) does."""
+def seeded_random(seed: int) -> random.Random:
+    """The generator for ``seed``, the one every random stream starts from.
+    A negative seed is an error: Random(-n) seeds as Random(n) does."""
     if seed < 0:
         raise ArgumentError(f"seed must not be negative, got {seed}")
+    return random.Random(seed)
 
 
 def make_hand_profile(
@@ -70,9 +72,8 @@ def make_hand_profile(
     table: dict[tuple[str, Shape], FingerProfile] | None = None,
 ) -> HandProfile:
     """Draw one user's profile as a bounded perturbation of the table."""
-    _check_seed(seed)
+    rng = seeded_random(seed)
     table = DEFAULT_PROFILE_TABLE if table is None else table
-    rng = random.Random(seed)
     mapping: dict[tuple[str, Shape], tuple[float, float]] = {}
     for finger in FINGERS:
         for shape in Shape:
@@ -113,11 +114,11 @@ def simulate_session(
     deterministic per seed."""
     if n_frames < 0:
         raise ArgumentError("need n_frames >= 0")
-    _check_seed(seed)
+    rng = seeded_random(seed)
     clean = tuple(clean_finger_adc(obj, finger, profile, sensor) for finger in FINGERS)
     # One draw per session, frame-major and finger-minor; finger j reads
     # every fifth offset from the j-th.
-    draws = noise_draws(random.Random(seed), sensor, n_frames * len(FINGERS))
+    draws = noise_draws(rng, sensor, n_frames * len(FINGERS))
     columns = [sample_with_noise(c, draws[j::len(FINGERS)], sensor) for j, c in enumerate(clean)]
     stamps = range(0, n_frames * DEFAULT_PERIOD_MS, DEFAULT_PERIOD_MS)
     frames = list(zip(stamps, *columns))
@@ -141,10 +142,9 @@ def simulate_cohort(
         raise ArgumentError("object list is empty")
     if n_users < 1:
         raise ArgumentError(f"need at least one user, got {n_users}")
-    _check_seed(base_seed)
     sensor = SensorConfig() if sensor is None else sensor
 
-    master = random.Random(base_seed)
+    master = seeded_random(base_seed)
     profiles = [
         make_hand_profile(f"{user_prefix}{k + 1:02d}", master.getrandbits(32), table)
         for k in range(n_users)
@@ -175,6 +175,8 @@ def parse_profile_table(text: str) -> dict[tuple[str, Shape], FingerProfile]:
             shape = SHAPE_BY_NAME[shape_name]
         except KeyError:
             raise ArgumentError(f"{where}: {shape_name!r} is not a valid Shape") from None
+        if (finger, shape) in table:
+            raise ArgumentError(f"{where}: repeats the row for ({finger}, {shape_name})")
         profile = FingerProfile(*finite_floats(parts[2:], FingerProfile._fields, where))
         for name, spread in zip(FingerProfile._fields[2:], profile[2:]):
             if spread < 0:

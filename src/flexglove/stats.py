@@ -17,6 +17,10 @@ from .errors import ArgumentError, DegenerateRange, PreconditionViolation
 from .types import DEFAULT_FRAME_COUNT, FINGERS, GraspSession, Shape
 
 CellKey = tuple[Shape, float, str]  # (shape, diameter_cm, finger)
+# Each shape's (lows, highs): the cohort-average raw minimum and maximum
+# session means, each a 5-tuple in FINGERS order.  A centroid file holds them
+# as the shape's raw_min and raw_max rows.
+ScaleContext = dict[Shape, tuple[tuple[float, ...], tuple[float, ...]]]
 
 # cohort_fits' subrange: the diameters above which thumb and index saturate.
 SUBRANGE_ABOVE_CM = 10.0
@@ -44,26 +48,18 @@ class CohortTable:
     values, in user id order.  ``summary`` maps the same keys, in ``cells()``
     order, to each cell's FingerStats; the constructor computes it, one
     ``stats`` call per cell, so a cell of fewer than two values raises there.
-    ``raw_scale`` maps each shape to ``(lows, highs)``: the cohort-average raw
-    minimum and maximum session means, each a 5-tuple in FINGERS order;
-    classifiers reuse it to normalize sessions that arrive without a full
-    diameter sweep.
+    ``raw_scale`` is the cohort's ScaleContext; classifiers reuse it to
+    normalize sessions that arrive without a full diameter sweep.
     """
 
-    def __init__(
-        self,
-        values: dict[CellKey, tuple[float, ...]],
-        raw_scale: dict[Shape, tuple[tuple[float, ...], tuple[float, ...]]] | None = None,
-    ):
+    def __init__(self, values: dict[CellKey, tuple[float, ...]], raw_scale: ScaleContext | None = None):
         self.values = values
         self.raw_scale = {} if raw_scale is None else raw_scale
         self.summary: dict[CellKey, FingerStats] = {key: self.stats(key) for key in self.cells()}
 
     def stats(self, key: CellKey) -> FingerStats:
-        """Mean, SEM and n of one cell.  The SEM comes first: it rejects a cell
-        of fewer than two values before the mean can divide by zero."""
-        vals = self.values[key]
-        return FingerStats(sem=sem(vals), mean=math.fsum(vals) / len(vals), n=len(vals))
+        """Mean, SEM and n of one cell."""
+        return summarize(self.values[key])
 
     def shapes(self) -> list[Shape]:
         return sorted({k[0] for k in self.values})
@@ -138,6 +134,12 @@ def sem(values: Sequence[float]) -> float:
     sx = sum(xs)
     sxx = sum(map(operator.mul, xs, xs))
     return _sqrt_of_frac(n * sxx - sx * sx, n * (n - 1) * d * d) / math.sqrt(n)
+
+
+def summarize(values: Sequence[float]) -> FingerStats:
+    """Mean, SEM and n of a sample.  The SEM comes first: it rejects a sample
+    of fewer than two values before the mean can divide by zero."""
+    return FingerStats(sem=sem(values), mean=math.fsum(values) / len(values), n=len(values))
 
 
 def linear_fit(points: Sequence[tuple[float, float]]) -> RegressionFit:

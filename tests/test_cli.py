@@ -429,6 +429,7 @@ class TestClassify:
             ("raw_min,cylinder,,", "raw_mid,cylinder,,", "unknown centroid row kind 'raw_mid'"),
             ("centroid,sphere,6,", "centroid,sphere,-6,", "diameter_cm must be positive, got '-6'"),
             ("centroid,sphere,6,", "centroid,sphere,0,", "diameter_cm must be positive, got '0'"),
+            ("raw_min,cylinder,,", "raw_min,cylinder,banana,", "a raw_min row's diameter_cm must be empty, got 'banana'"),
         ],
     )
     def test_bad_centroid_file_is_argument_error(self, small_cohort_dir, tmp_path, capsys, old, new, message):
@@ -617,6 +618,26 @@ class TestTextInputs:
         assert f"ArgumentError: {message.format(line_no)}" in err
         assert "Traceback" not in err
 
+    # A row of each file that repeats a key of the file, and the error, whose
+    # {} is the repeat's line number.
+    REPEATED = {
+        "config file": ("vcc = 3.3", "config line {}: repeats the key 'vcc'"),
+        "profile table": ("thumb sphere 1.0 0.5 0.0 0.0", "profile table line {}: repeats the row for (thumb, sphere)"),
+        "centroid file": ("raw_min,sphere,,1,2,3,4,5", "centroid file line {}: repeats the raw_min row for sphere"),
+    }
+
+    def test_repeated_key_is_argument_error(self, text_input, tmp_path, capsys):
+        # In the config and the profile table, the last of two lines for one
+        # key once replaced the first without a word.
+        what, text, _, run_with = text_input
+        row, message = self.REPEATED[what]
+        path = tmp_path / "repeated.txt"
+        path.write_text(text + row + "\n")
+        line_no = text.count("\n") + 1
+        capsys.readouterr()
+        assert run_with(path) == 2
+        assert capsys.readouterr().err == f"ArgumentError: {message.format(line_no)}\n"
+
     def test_quoted_field_is_argument_error(self, text_input, tmp_path, capsys):
         _, text, (field, quoted), run_with = text_input
         assert text.count(field) == 1
@@ -759,9 +780,10 @@ class TestClassifyFuzz:
     def edge_files(text):
         """Variants of a centroid file, each named: line endings, rows split
         unevenly, comments, blank lines, spaces, non-ASCII text, overflow,
-        repeated rows, rows out of order, and characters content_lines reads
-        as a line break or a comment, hidden in the one field no reader
-        converts (a raw row's diameter_cm)."""
+        repeated rows, rows out of order, and text in the one field no reader
+        converts, a raw row's diameter_cm, which must be empty: a word, a
+        space, and characters content_lines reads as a line break or a
+        comment."""
         header, first, second, *rest = text.splitlines()
         raw = next(i for i, line in enumerate(rest) if line.startswith("raw_min,"))
 
@@ -798,7 +820,7 @@ class TestClassifyFuzz:
             raw_rows = [line.replace(",,", f",{diameter},", 1) for line in rest[raw:]]
             files[name] = "".join(line + "\n" for line in (header, *raw_rows, first, second, *rest[:raw]))
         breaks = [("comment", "#"), ("cr", "\r"), ("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"), ("nel", "\x85")]
-        for name, char in [*breaks, ("line separator", "\u2028")]:
+        for name, char in [*breaks, ("line separator", "\u2028"), ("word", "banana"), ("space", " ")]:
             files[f"{name} in a raw diameter"] = with_lines(first, second, edit=char)
         return files
 
@@ -982,7 +1004,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         out.mkdir()
         (out / "earlier.csv").write_text("kept\n")
-        message = "ArgumentError: --seed must not be negative, got -7\n"
+        message = "ArgumentError: seed must not be negative, got -7\n"
         assert run_quietly(command, "--seed", "-7", "--out", out) == (2, message)
         assert [(p.name, p.read_text()) for p in out.iterdir()] == [("earlier.csv", "kept\n")]
 

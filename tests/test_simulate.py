@@ -9,6 +9,7 @@ from flexglove import (
     finger_bend_diameter,
     format_session,
     make_hand_profile,
+    read_session,
     simulate_cohort,
     simulate_session,
 )
@@ -100,6 +101,15 @@ class TestSession:
         assert format_session(simulate_session(*args, seed=42)) != format_session(
             simulate_session(*args, seed=43)
         )
+
+    def test_float_spelled_config_writes_sessions_that_read_back(self):
+        # SensorConfig kept adc_levels=1024.0 as a float, so a count clamped
+        # to the converter's top was written as "1023.0", which read_session
+        # rejects.  r_fixed=1.0 drives every finger to that top.
+        sensor = SensorConfig(r_fixed=1.0, adc_levels=1024.0, noise_amplitude=1.0)
+        for session in simulate_cohort(default_objects(Shape.SPHERE), 2, 2020, sensor):
+            assert read_session(format_session(session)) == session
+            assert {type(field) for frame in session.frames for field in frame} == {int}
 
 
 class TestNoiseStream:

@@ -138,6 +138,44 @@ def test_guard_flags_an_uncalled_definition():
     assert uncalled({"m": module}, {"m": module, "c": caller}) == ["SPARE", "walk", "spare"]
 
 
+def random_constructions(tree: ast.AST) -> list[str]:
+    """The function around each call of random.Random (or of a bare Random)
+    in ``tree``, "<module>" for a call outside every function."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and "Random" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_generators_are_built_only_by_seeded_random():
+    """seeded_random rejects a negative seed, which Random(-n) would read as n."""
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls.extend(random_constructions(tree))
+    assert calls == ["seeded_random"]
+
+
+def test_guard_flags_a_random_construction():
+    tree = ast.parse(
+        "import random\nrng = random.Random(1)\n\n"
+        "def seeded_random(seed):\n    return random.Random(seed)\n\n"
+        "def draw(seed):\n    return random.Random(seed).random()\n\n"
+        "def bare(seed):\n    from random import Random\n    return Random(seed)\n"
+    )
+    assert random_constructions(tree) == ["<module>", "seeded_random", "draw", "bare"]
+
+
 def test_guard_flags_a_third_party_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom .errors import ArgumentError\nfrom yaml import safe_load\n")
     assert [n for n in imported_modules(tree) if n not in sys.stdlib_module_names] == ["numpy", "yaml"]
