@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .classify import build_centroids, centroids_from_csv, centroids_to_csv, classify_session, discriminability
@@ -34,7 +35,7 @@ from .simulate import (
     simulate_cohort,
 )
 from .stats import build_cohort, cohort_fits, summarize
-from .types import DEFAULT_FRAME_COUNT, FINGERS, GraspObject, Shape, default_objects
+from .types import DEFAULT_FRAME_COUNT, FINGERS, GraspObject, GraspSession, Shape, default_objects
 
 DEFAULT_SEED = 2020
 
@@ -164,6 +165,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_sessions(session_dir: Path, names: list[str]) -> Iterator[GraspSession]:
+    """Each named session file of ``session_dir`` in turn, read as it is
+    asked for, so that build_cohort holds one session at a time.  A
+    ParseError names the file."""
+    prefix = os.path.join(session_dir, "")
+    for name in names:
+        try:
+            yield read_session_file(prefix + name)
+        except ParseError as exc:
+            exc.args = (f"{name}: {exc}",)
+            raise
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.sessions:
         raise ArgumentError("the sessions argument names no directory")
@@ -176,16 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         names = []
     if not names:
         raise ArgumentError(f"no .session files in {session_dir}")
-    prefix = os.path.join(session_dir, "")
-    sessions = []
-    try:
-        for name in names:
-            sessions.append(read_session_file(prefix + name))
-    except ParseError as exc:
-        exc.args = (f"{name}: {exc}",)
-        raise
-
-    table = build_cohort(sessions, expected_frames=args.expected_frames)
+    table = build_cohort(_read_sessions(session_dir, names), expected_frames=args.expected_frames)
     cohort_rows = [
         [shape.value, f"{d:g}", finger, _fmt(st.mean), _fmt(st.sem), str(st.n)]
         for (shape, d, finger), st in table.summary.items()

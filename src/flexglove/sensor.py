@@ -35,6 +35,14 @@ TAIL_DECAY_CM = 0.3
 MAX_NOISE_AMPLITUDE = 127
 
 
+def _check_finite(**fields) -> None:
+    """Raise an ArgumentError naming the first field that is nan or infinite.
+    An int is finite however large, and math.isfinite could overflow on it."""
+    for name, value in fields.items():
+        if not isinstance(value, int) and not math.isfinite(value):
+            raise ArgumentError(f"{name} must be finite, got {value}")
+
+
 class CalibrationCurve(namedtuple("CalibrationCurve", "r_flat r_min_diam d_knee d_tightest")):
     """Resistance-versus-bend-diameter model for one flex sensor.
 
@@ -48,6 +56,7 @@ class CalibrationCurve(namedtuple("CalibrationCurve", "r_flat r_min_diam d_knee 
     __slots__ = ()
 
     def __new__(cls, r_flat=25_000.0, r_min_diam=100_000.0, d_knee=12.0, d_tightest=5.0):
+        _check_finite(r_flat=r_flat, r_min_diam=r_min_diam, d_knee=d_knee, d_tightest=d_tightest)
         if not 0 < r_flat < r_min_diam:
             raise ArgumentError(f"need r_min_diam > r_flat > 0, got {r_min_diam} / {r_flat}")
         if not 0 < d_tightest < d_knee:
@@ -70,6 +79,7 @@ class SensorConfig(namedtuple("SensorConfig", "curve r_fixed vcc adc_levels nois
     def __new__(
         cls, curve=CalibrationCurve(), r_fixed=47_000.0, vcc=5.0, adc_levels=1024, noise_amplitude=1
     ):
+        _check_finite(r_fixed=r_fixed, vcc=vcc, adc_levels=adc_levels, noise_amplitude=noise_amplitude)
         if not r_fixed > 0:
             raise ArgumentError(f"r_fixed must be positive, got {r_fixed}")
         if not vcc > 0:

@@ -33,15 +33,21 @@ check: schema, shape, diameter, period.
 The frame block, everything after the header, is read by one of two paths.
 The block pass works on the block's bytes: with its digits deleted, a sound
 block is ",,,,,\n" once per line, which one translate and one compare check.
-Then one split into fields, timestamps through int() and counts through a
-table of the 1,024 canonical spellings as bytes, which is also the range
-check.  parse_frame, line by line on the decoded text, for whatever the block
-pass rejects (a fault, an empty field, a leading zero, a carriage return, a
-blank line, a field too long to convert): it returns the same frames or
-raises the error, with its line number, of the first fault.
+Then one split into fields, and counts through a table of the 1,024 canonical
+spellings as bytes, which is also the range check.  Timestamps that start 0,
+period_ms (a positive period) are joined with commas and compared with the
+canonical spelling of 0, p, 2p, ... (the last one kept, so one file after
+another of the same length and period reuses it); a match is that range,
+which needs no order check.  Any other timestamps go through int() and one
+order check.  parse_frame, line by line on the decoded text, for whatever
+the block pass rejects (a fault, an empty field, a leading zero count, a
+carriage return, a blank line, a field too long to convert, a timestamp that
+does not increase): it returns the same frames or raises the error, with its
+line number, of the first fault.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -162,12 +168,21 @@ def read_session(data: bytes) -> GraspSession:
     return GraspSession(
         user_id=user,
         obj=GraspObject(shape, diameter),
-        frames=_read_frames(data[header.end():]),
+        frames=_read_frames(data[header.end():], period_ms),
         sample_period_ms=period_ms,
     )
 
 
-def _read_frames(block: bytes) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=1)
+def _periodic_stamps(period_ms: int, n: int) -> bytes:
+    """The timestamps 0, period_ms, ..., (n - 1) * period_ms as the block
+    pass sees them: canonical decimals joined by commas.  A stamp past
+    int()'s digit limit raises ValueError, which sends the block to the
+    line loop."""
+    return b",".join(b"%d" % t for t in range(0, n * period_ms, period_ms))
+
+
+def _read_frames(block: bytes, period_ms: int) -> list[tuple[int, ...]]:
     """The frames of a frame block's ASCII bytes, in one pass when the block is canonical.
 
     Any other block is decoded and goes through parse_frame line by line,
@@ -179,14 +194,22 @@ def _read_frames(block: bytes) -> list[tuple[int, ...]]:
     if separators == b",,,,,\n" * (len(separators) // 6):
         fields = block.replace(b"\n", b",").split(b",")
         fields.pop()  # the empty field after the final newline
+        stamp_fields = fields[0::6]
+        n = len(stamp_fields)
         try:
-            stamps = list(map(int, fields[0::6]))
+            # The first two stamps before the whole spelling, which costs
+            # what int() does when it is not the one cached.
+            if (period_ms > 0 and stamp_fields[:2] == [b"0", b"%d" % period_ms][:n]
+                    and b",".join(stamp_fields) == _periodic_stamps(period_ms, n)):
+                stamps = range(0, n * period_ms, period_ms)
+            else:
+                stamps = list(map(int, stamp_fields))
             del fields[0::6]
             counts = iter(list(map(_COUNT_BY_BYTES.__getitem__, fields)))
         except (KeyError, ValueError):
             pass
         else:
-            if all(map(operator.lt, stamps, stamps[1:])):
+            if isinstance(stamps, range) or all(map(operator.lt, stamps, stamps[1:])):
                 # One iterator five times over: each frame takes the next five counts.
                 return list(zip(stamps, counts, counts, counts, counts, counts))
     frames = []

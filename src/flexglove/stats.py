@@ -176,7 +176,9 @@ def intervals_overlap(a: FingerStats, b: FingerStats) -> bool:
 
 def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = DEFAULT_FRAME_COUNT) -> CohortTable:
     """Average and normalize every session, users in id order, and gather
-    each cell's values into a CohortTable.
+    each cell's values into a CohortTable.  ``sessions`` is iterated once and
+    only each session's means are kept, so a generator of sessions is held
+    one session at a time.
 
     Every cell must collect at least two users: SEM over a single value is
     undefined and a zero-width interval would make discriminability vacuous.

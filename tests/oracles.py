@@ -204,7 +204,7 @@ def read_session_by_header_loop(data):
     return GraspSession(
         user_id=values["user"],
         obj=GraspObject(shape, diameter),
-        frames=_read_frames(block.encode("ascii")),
+        frames=_read_frames(block.encode("ascii"), period_ms),
         sample_period_ms=period_ms,
     )
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -368,6 +369,42 @@ class TestAnalyze:
         assert "MalformedFrame: sphere_8cm_s99.session: line 8: expected 6 fields, got 3\n" in err
         assert "Traceback" not in err
         bad.unlink()
+
+    @pytest.mark.parametrize(
+        "short, malformed, code, message",
+        [
+            ("a.session", "b.session", 4, "PreconditionViolation: session x/sphere/8.0 has 3 frames, expected 100\n"),
+            ("b.session", "a.session", 3, "MalformedFrame: a.session: line 6: expected 6 fields, got 2\n"),
+        ],
+        ids=["short-first", "malformed-first"],
+    )
+    def test_first_fault_in_file_name_order_is_reported(self, tmp_path, short, malformed, code, message):
+        # analyze reads each file as build_cohort asks for it, so a fault in
+        # a session read whole (here a wrong frame count) and a parse error
+        # are reported in file-name order, whichever comes first.
+        sessions = tmp_path / "sessions"
+        sessions.mkdir()
+        header = b"# schema=1\n# user=x\n# shape=sphere\n# diameter_cm=8\n# period_ms=50\n"
+        (sessions / short).write_bytes(header + b"0,1,2,3,4,5\n50,1,2,3,4,5\n100,1,2,3,4,5\n")
+        (sessions / malformed).write_bytes(header + b"1,2\n")
+        assert run_quietly("analyze", sessions, "--out", tmp_path / "a") == (code, message)
+        assert not (tmp_path / "a").exists()
+
+    def test_holds_one_session_at_a_time(self, tmp_path):
+        # Each session is read as build_cohort asks for it and dropped once
+        # averaged.  Traced peak of a warm analyze of the default cohort
+        # (Python 3.11): 2.49 MB with all 201 sessions read into a list
+        # first, 0.14 MB read one at a time.  The bound sits between.
+        sessions = tmp_path / "sessions"
+        assert run_quietly("simulate", "--out", sessions, "--seed", "2020")[0] == 0
+        assert run("analyze", sessions, "--out", tmp_path / "warm") == 0
+        tracemalloc.start()
+        try:
+            assert run("analyze", sessions, "--out", tmp_path / "a") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
     @pytest.mark.parametrize("expected", ["0", "-3"])
     def test_expected_frames_below_one_is_argument_error(self, tmp_path, capsys, expected):

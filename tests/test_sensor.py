@@ -269,6 +269,33 @@ class TestConfigFile:
             parse_config("noise_amplitude = 128\n")
         assert str(exc.value) == "noise_amplitude must be an integer in 0..127, got 128"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            *[(CalibrationCurve, key) for key in ("r_flat", "r_min_diam", "d_knee", "d_tightest")],
+            *[(SensorConfig, key) for key in ("r_fixed", "vcc", "adc_levels", "noise_amplitude")],
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_constructors_reject_non_finite(self, make, field, value):
+        # Library callers skip parse_config's check: vcc=inf once constructed
+        # and failed later in clean_adc_at_diameter, and adc_levels=nan and
+        # noise_amplitude=inf raised a bare ValueError and OverflowError.
+        from flexglove import ArgumentError
+
+        with pytest.raises(ArgumentError) as exc:
+            make(**{field: value})
+        assert str(exc.value) == f"{field} must be finite, got {value}"
+
+    def test_constructors_take_ints_of_any_size(self):
+        from flexglove import ArgumentError
+
+        # An int is finite however large: the range checks reject these, not an overflow.
+        with pytest.raises(ArgumentError, match="adc_levels must be an integer in"):
+            SensorConfig(adc_levels=10**400)
+        assert SensorConfig(r_fixed=10**400).r_fixed == 10**400
+
     def test_validation_still_applies(self):
         from flexglove import ArgumentError
 
