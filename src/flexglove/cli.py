@@ -34,7 +34,7 @@ from .simulate import (
     seeded_random,
     simulate_cohort,
 )
-from .stats import build_cohort, cohort_fits, summarize
+from .stats import build_cohort, check_expected_frames, cohort_fits, summarize
 from .types import DEFAULT_FRAME_COUNT, FINGERS, GraspObject, GraspSession, Shape, default_objects
 
 DEFAULT_SEED = 2020
@@ -179,6 +179,7 @@ def _read_sessions(session_dir: Path, names: list[str]) -> Iterator[GraspSession
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    check_expected_frames(args.expected_frames)
     if not args.sessions:
         raise ArgumentError("the sessions argument names no directory")
     session_dir = Path(args.sessions)
@@ -222,6 +223,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    check_expected_frames(args.expected_frames)
     session = read_session_file(args.session)
     centroids, context = centroids_from_csv(read_ascii(args.centroids, "centroid file"))
     shape, diameter, distance = classify_session(
@@ -232,19 +234,23 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="flexglove", description="flex-sensor glove simulator and analysis pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("characterize", help="single-sensor ring sweep and stability stream")
+    p = commands["characterize"] = sub.add_parser(
+        "characterize", help="single-sensor ring sweep and stability stream"
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--config", help="sensor config file (key = value text)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("simulate", help="write a simulated cohort of session files")
+    p = commands["simulate"] = sub.add_parser("simulate", help="write a simulated cohort of session files")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--config", help="sensor config file")
     p.add_argument("--out", required=True)
@@ -254,23 +260,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-table", help="hand profile table file")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("analyze", help="summarize a directory of session files")
+    p = commands["analyze"] = sub.add_parser("analyze", help="summarize a directory of session files")
     p.add_argument("sessions", help="directory of .session files")
     p.add_argument("--out", required=True)
     p.add_argument("--expected-frames", type=int, default=DEFAULT_FRAME_COUNT)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("classify", help="classify one session against saved centroids")
+    p = commands["classify"] = sub.add_parser("classify", help="classify one session against saved centroids")
     p.add_argument("session", help="session file")
     p.add_argument("centroids", help="centroid CSV from analyze")
     p.add_argument("--expected-frames", type=int, default=DEFAULT_FRAME_COUNT)
     p.set_defaults(func=cmd_classify)
 
-    return parser
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A line that starts with a command name is parsed once, by that
+    # command's parser.  The top-level parser takes the rest: no command, an
+    # unknown one, or a leading option such as -h.
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         return args.func(args)
     except GloveError as exc:

@@ -7,7 +7,8 @@ Wire format, one frame per line, newline terminated, ASCII decimal:
 
     <t_ms>,<thumb>,<index>,<middle>,<ring>,<pinky>
 
-In memory a frame is the same six fields, in order, as a tuple of ints.
+In memory a session holds its frames as columns (see GraspSession): the
+timestamps as one list of ints and the counts as five lists, one per finger.
 
 Session file: five header lines followed by frame lines, `\n` terminators:
 
@@ -34,16 +35,17 @@ The frame block, everything after the header, is read by one of two paths.
 The block pass works on the block's bytes: with its digits deleted, a sound
 block is ",,,,,\n" once per line, which one translate and one compare check.
 Then one split into fields, and counts through a table of the 1,024 canonical
-spellings as bytes, which is also the range check.  Timestamps that start 0,
-period_ms (a positive period) are joined with commas and compared with the
-canonical spelling of 0, p, 2p, ... (the last one kept, so one file after
-another of the same length and period reuses it); a match is that range,
-which needs no order check.  Any other timestamps go through int() and one
-order check.  parse_frame, line by line on the decoded text, for whatever
-the block pass rejects (a fault, an empty field, a leading zero count, a
+spellings as bytes, which is also the range check; each finger's column is
+then every fifth count.  Timestamps that start 0, period_ms (a positive
+period) are joined with commas and compared with the canonical spelling of
+0, p, 2p, ... (the last one kept, with its list of stamps, so one file after
+another of the same length and period reuses it); a match needs no int()
+and no order check.  Any other timestamps go through int() and one order
+check.  parse_frame, line by line on the decoded text, for whatever the
+block pass rejects (a fault, an empty field, a leading zero count, a
 carriage return, a blank line, a field too long to convert, a timestamp that
-does not increase): it returns the same frames or raises the error, with its
-line number, of the first fault.
+does not increase): it returns the same columns, transposed from its rows
+once, or raises the error, with its line number, of the first fault.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ import sys
 from typing import NoReturn
 
 from .errors import (
+    ArgumentError,
     MalformedFrame,
     MalformedHeader,
     OrderViolation,
@@ -165,25 +168,37 @@ def read_session(data: bytes) -> GraspSession:
         raise MalformedHeader(f"period {period_text!r} is not an integer", line=5)
     period_ms = _to_int(period_text, MalformedHeader, "period", 5)
 
-    return GraspSession(
-        user_id=user,
-        obj=GraspObject(shape, diameter),
-        frames=_read_frames(data[header.end():], period_ms),
-        sample_period_ms=period_ms,
-    )
+    stamps, counts = _read_frames(data[header.end():], period_ms)
+    return GraspSession(user, GraspObject(shape, diameter), stamps, counts, period_ms)
 
 
 @functools.lru_cache(maxsize=1)
-def _periodic_stamps(period_ms: int, n: int) -> bytes:
+def _periodic_stamps(period_ms: int, n: int) -> tuple[bytes, list[int]]:
     """The timestamps 0, period_ms, ..., (n - 1) * period_ms as the block
-    pass sees them: canonical decimals joined by commas.  A stamp past
-    int()'s digit limit raises ValueError, which sends the block to the
-    line loop."""
-    return b",".join(b"%d" % t for t in range(0, n * period_ms, period_ms))
+    pass sees them, canonical decimals joined by commas, and as a list.  A
+    stamp past int()'s digit limit raises ValueError, which sends the block
+    to the line loop."""
+    stamps = list(range(0, n * period_ms, period_ms))
+    return b",".join(b"%d" % t for t in stamps), stamps
 
 
-def _read_frames(block: bytes, period_ms: int) -> list[tuple[int, ...]]:
-    """The frames of a frame block's ASCII bytes, in one pass when the block is canonical.
+def _block_stamps(fields: list[bytes], period_ms: int) -> list[int] | None:
+    """The timestamps of a block's stamp fields, or None when they do not
+    increase; int()'s ValueError when a field is past its digit limit."""
+    n = len(fields)
+    # The first two stamps before the whole spelling, which costs what
+    # int() does when it is not the one cached.
+    if period_ms > 0 and fields[:2] == [b"0", b"%d" % period_ms][:n]:
+        spelling, stamps = _periodic_stamps(period_ms, n)
+        if b",".join(fields) == spelling:
+            return stamps[:]  # a copy: the cached list serves every such block
+    stamps = list(map(int, fields))
+    return stamps if all(map(operator.lt, stamps, stamps[1:])) else None
+
+
+def _read_frames(block: bytes, period_ms: int) -> tuple[list[int], tuple[list[int], ...]]:
+    """The stamps and the five count columns of a frame block's ASCII bytes,
+    in one pass when the block is canonical.
 
     Any other block is decoded and goes through parse_frame line by line,
     which raises the error of its first faulty line: a frame that parse_frame
@@ -194,27 +209,19 @@ def _read_frames(block: bytes, period_ms: int) -> list[tuple[int, ...]]:
     if separators == b",,,,,\n" * (len(separators) // 6):
         fields = block.replace(b"\n", b",").split(b",")
         fields.pop()  # the empty field after the final newline
-        stamp_fields = fields[0::6]
-        n = len(stamp_fields)
         try:
-            # The first two stamps before the whole spelling, which costs
-            # what int() does when it is not the one cached.
-            if (period_ms > 0 and stamp_fields[:2] == [b"0", b"%d" % period_ms][:n]
-                    and b",".join(stamp_fields) == _periodic_stamps(period_ms, n)):
-                stamps = range(0, n * period_ms, period_ms)
-            else:
-                stamps = list(map(int, stamp_fields))
+            stamps = _block_stamps(fields[0::6], period_ms)
             del fields[0::6]
-            counts = iter(list(map(_COUNT_BY_BYTES.__getitem__, fields)))
+            counts = list(map(_COUNT_BY_BYTES.__getitem__, fields))
         except (KeyError, ValueError):
-            pass
-        else:
-            if isinstance(stamps, range) or all(map(operator.lt, stamps, stamps[1:])):
-                # One iterator five times over: each frame takes the next five counts.
-                return list(zip(stamps, counts, counts, counts, counts, counts))
-    frames = []
+            stamps = None
+        if stamps is not None:
+            # Each frame's five counts in turn: finger j's column is every fifth from the j-th.
+            return stamps, (counts[0::5], counts[1::5], counts[2::5], counts[3::5], counts[4::5])
+    rows = []
     last_t = -1
-    # block is empty or ends in \n, so the last item of the split is "".
+    # block is not empty and ends in \n, so the split ends in "" after at
+    # least one line, and rows is not empty when the loop ends.
     for i, line in enumerate(block.decode("ascii").split("\n")[:-1], start=len(_HEADER_KEYS) + 1):
         frame = parse_frame(line, line_no=i)
         if frame[0] <= last_t:
@@ -222,8 +229,9 @@ def _read_frames(block: bytes, period_ms: int) -> list[tuple[int, ...]]:
                 f"timestamp {frame[0]} ms does not increase past {last_t} ms", line=i
             )
         last_t = frame[0]
-        frames.append(frame)
-    return frames
+        rows.append(frame)
+    stamps, *counts = map(list, zip(*rows))
+    return stamps, tuple(counts)
 
 
 def _validate_user_id(user_id: str) -> str:
@@ -237,7 +245,16 @@ def format_session(session: GraspSession) -> bytes:
     values = (SCHEMA_VERSION, _validate_user_id(session.user_id), session.obj.shape.value,
               session.obj.diameter_cm, session.sample_period_ms)
     parts = [f"# {key}={value}\n" for key, value in zip(_HEADER_KEYS, values)]
-    parts.extend(map("%s,%s,%s,%s,%s,%s\n".__mod__, session.frames))
+    try:
+        rows = zip(session.stamps, *session.counts, strict=True)
+        parts.extend(map("%s,%s,%s,%s,%s,%s\n".__mod__, rows))
+    except ValueError:
+        # zip's when the columns differ in length, or str()'s for an int
+        # past its digit limit.
+        lengths = [len(session.stamps), *map(len, session.counts)]
+        if min(lengths) == max(lengths):
+            raise
+        raise ArgumentError(f"session columns differ in length: {lengths} (stamps, then counts)") from None
     return "".join(parts).encode("ascii")
 
 

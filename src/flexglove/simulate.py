@@ -119,12 +119,9 @@ def simulate_session(
     # One draw per session, frame-major and finger-minor; finger j reads
     # every fifth offset from the j-th.
     draws = noise_draws(rng, sensor, n_frames * len(FINGERS))
-    columns = [sample_with_noise(c, draws[j::len(FINGERS)], sensor) for j, c in enumerate(clean)]
-    stamps = range(0, n_frames * DEFAULT_PERIOD_MS, DEFAULT_PERIOD_MS)
-    frames = list(zip(stamps, *columns))
-    return GraspSession(
-        user_id=profile.user_id, obj=obj, frames=frames, sample_period_ms=DEFAULT_PERIOD_MS
-    )
+    counts = tuple([sample_with_noise(c, draws[j::len(FINGERS)], sensor) for j, c in enumerate(clean)])
+    stamps = list(range(0, n_frames * DEFAULT_PERIOD_MS, DEFAULT_PERIOD_MS))
+    return GraspSession(profile.user_id, obj, stamps, counts, DEFAULT_PERIOD_MS)
 
 
 def simulate_cohort(

@@ -71,18 +71,30 @@ class CohortTable:
         return sorted(self.values, key=lambda k: (k[0], k[1], FINGERS.index(k[2])))
 
 
+def check_expected_frames(expected_frames: int) -> None:
+    """Reject an expected frame count below 1, which no session can meet."""
+    if expected_frames < 1:
+        raise ArgumentError(f"expected frame count must be at least 1, got {expected_frames}")
+
+
 def session_means(session: GraspSession, expected_frames: int = DEFAULT_FRAME_COUNT) -> tuple[float, ...]:
     """Mean raw count of each finger, in FINGERS order, over a session of the
     expected length."""
-    if expected_frames < 1:
-        raise ArgumentError(f"expected frame count must be at least 1, got {expected_frames}")
-    if len(session.frames) != expected_frames:
+    check_expected_frames(expected_frames)
+    n = len(session.stamps)
+    if n != expected_frames:
         raise PreconditionViolation(
             f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
-            f"has {len(session.frames)} frames, expected {expected_frames}"
+            f"has {n} frames, expected {expected_frames}"
+        )
+    lengths = list(map(len, session.counts))
+    if lengths != [n] * len(FINGERS):
+        raise ArgumentError(
+            f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
+            f"has {n} stamps but count columns of lengths {lengths}"
         )
     # sum/len of an int column is the float math.fsum(c) / len(c) gives, in less time.
-    return tuple([sum(c) / len(c) for c in list(zip(*session.frames))[1:]])
+    return tuple([sum(c) / n for c in session.counts])
 
 
 def min_max_normalize(values: Mapping[float, float]) -> dict[float, float]:

@@ -47,14 +47,27 @@ class GraspObject(namedtuple("GraspObject", "shape diameter_cm")):
 
 
 class GraspSession(NamedTuple):
-    """A recorded grasp: an object, a user, and an ordered frame sequence.
-    Each frame is its wire record as six ints, (t_ms, thumb, index, middle,
-    ring, pinky): a timestamp, then one ADC count per finger."""
+    """A recorded grasp: a user, an object, and its frames held as columns.
+
+    ``stamps`` is the list of frame timestamps in ms.  ``counts`` is a tuple
+    of five lists of ADC counts, one per finger in FINGERS order, each as
+    long as ``stamps``.  The reader and the simulator build exactly these
+    types, so a session read back from its file compares equal to the one
+    written.  Build a changed session with ``_replace(stamps=..., counts=...)``.
+    """
 
     user_id: str
     obj: GraspObject
-    frames: list[tuple[int, int, int, int, int, int]]
+    stamps: list[int]
+    counts: tuple[list[int], ...]
     sample_period_ms: int = DEFAULT_PERIOD_MS
+
+    @property
+    def frames(self) -> list[tuple[int, ...]]:
+        """The frames as rows, (t_ms, thumb, index, middle, ring, pinky):
+        built anew on each access, for tests and tools.  The pipeline reads
+        the columns."""
+        return list(zip(self.stamps, *self.counts, strict=True))
 
 
 def default_objects(shape: Shape) -> list[GraspObject]:

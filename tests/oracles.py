@@ -13,7 +13,8 @@ stream in one draw; they share only the clean counts with the package.
 
 The helpers at the end serve the tests only.  No command writes a sensor
 config or a profile table, so the writers of those two formats live here, as
-do the default-table hand profile and the verdict lookup by diameter.
+do a session built from rows, the field types that parity checks compare,
+the default-table hand profile and the verdict lookup by diameter.
 """
 import math
 import random
@@ -141,12 +142,7 @@ def read_session_by_line(data):
         last_t = frame[0]
         frames.append(frame)
 
-    return GraspSession(
-        user_id=values["user"],
-        obj=GraspObject(shape, diameter),
-        frames=frames,
-        sample_period_ms=int(values["period_ms"]),
-    )
+    return session_from_rows(values["user"], GraspObject(shape, diameter), frames, int(values["period_ms"]))
 
 
 def _parse_header_line(line, key, line_no):
@@ -201,12 +197,24 @@ def read_session_by_header_loop(data):
             line=5,
         ) from None
 
+    stamps, counts = _read_frames(block.encode("ascii"), period_ms)
+    return GraspSession(values["user"], GraspObject(shape, diameter), stamps, counts, period_ms)
+
+
+def session_from_rows(user_id, obj, rows, sample_period_ms=50):
+    """A session from its frames as rows, (t_ms, thumb, ..., pinky): the
+    stamps as a list and one list per finger, the types read_session builds."""
     return GraspSession(
-        user_id=values["user"],
-        obj=GraspObject(shape, diameter),
-        frames=_read_frames(block.encode("ascii"), period_ms),
-        sample_period_ms=period_ms,
+        user_id, obj, [row[0] for row in rows],
+        tuple([row[j] for row in rows] for j in range(1, 6)), sample_period_ms,
     )
+
+
+def field_types(session):
+    """The type of each field and column of ``session``, and the set of
+    value types in its columns: == alone takes 512.0 for 512."""
+    values = {type(v) for column in (session.stamps, *session.counts) for v in column}
+    return (*map(type, session), tuple(map(type, session.counts)), values)
 
 
 def format_config(cfg):

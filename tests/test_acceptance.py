@@ -16,9 +16,9 @@ from flexglove.errors import ParseError
 from flexglove.session_io import format_session, parse_frame, read_session
 from flexglove.simulate import make_hand_profile
 from flexglove.stats import cohort_fits, linear_fit, min_max_normalize, sem
-from flexglove.types import FINGERS, GraspObject, GraspSession, Shape, default_objects
+from flexglove.types import FINGERS, GraspObject, Shape, default_objects
 from conftest import PUBLISHED_SEED, simulate_default_cohort
-from oracles import ols_oracle, sem_oracle
+from oracles import ols_oracle, sem_oracle, session_from_rows
 
 
 def note(criterion, detail):
@@ -120,11 +120,8 @@ class TestCriterion7Parser:
                 (i_ * period, *(rng.randint(0, 1023) for _ in range(5)))
                 for i_ in range(n)
             ]
-            session = GraspSession(
-                user_id=f"u{i}",
-                obj=GraspObject(rng.choice(list(Shape)), rng.randint(1, 40) / 2),
-                frames=frames,
-                sample_period_ms=period,
+            session = session_from_rows(
+                f"u{i}", GraspObject(rng.choice(list(Shape)), rng.randint(1, 40) / 2), frames, period
             )
             assert read_session(format_session(session)) == session
         note(7, "1000 generated sessions round-trip field for field")

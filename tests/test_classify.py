@@ -5,7 +5,6 @@ import pytest
 
 from flexglove import (
     GraspObject,
-    GraspSession,
     PreconditionViolation,
     Shape,
     build_centroids,
@@ -15,7 +14,7 @@ from flexglove import (
 from flexglove.classify import Centroid, centroids_from_csv, centroids_to_csv
 from flexglove.stats import CohortTable
 from flexglove.types import FINGERS
-from oracles import verdict_at
+from oracles import session_from_rows, verdict_at
 
 
 def table_from_cells(cells):
@@ -102,7 +101,7 @@ class TestCentroids:
 
 def query_session(raw, shape=Shape.SPHERE, diameter=8.0, user="q"):
     frames = [(i * 50, *raw) for i in range(100)]
-    return GraspSession(user_id=user, obj=GraspObject(shape, diameter), frames=frames)
+    return session_from_rows(user, GraspObject(shape, diameter), frames)
 
 
 def simple_context(lo=0.0, hi=128.0):

@@ -1085,6 +1085,73 @@ class TestExitCodes:
         assert err.startswith("IoError: ")
         assert str(tmp_path) in err
 
+    @pytest.mark.parametrize("command", ["analyze", "classify"])
+    def test_expected_frames_below_one_is_rejected_before_any_file_is_read(self, command, tmp_path):
+        # The session's frame line has two fields, so reading it is a parse
+        # error (exit 3), which this argument error must come before.
+        sessions = tmp_path / "sessions"
+        sessions.mkdir()
+        (sessions / "a.session").write_bytes(
+            b"# schema=1\n# user=a\n# shape=sphere\n# diameter_cm=6\n# period_ms=50\n0,1\n"
+        )
+        argv = (
+            [sessions, "--out", tmp_path / "out"] if command == "analyze"
+            else [sessions / "a.session", tmp_path / "centroids.csv"]
+        )
+        message = "ArgumentError: expected frame count must be at least 1, got 0\n"
+        assert run_quietly(command, *argv, "--expected-frames", "0") == (2, message)
+        assert run_quietly(command, *argv)[0] == 3
+
+
+class TestCommandLine:
+    """argparse's handling of a command line: each command's own parser
+    takes a line that starts with its name, the top-level parser the rest."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "flexglove: error: the following arguments are required: command"),
+            (["frobnicate"], "flexglove: error: argument command: invalid choice: 'frobnicate' "
+                             "(choose from 'characterize', 'simulate', 'analyze', 'classify')"),
+            (["classify", "only.session"], "flexglove classify: error: the following arguments are required: centroids"),
+            (["analyze", "d", "--out", "o", "--expected-frames", "x"],
+             "flexglove analyze: error: argument --expected-frames: invalid int value: 'x'"),
+            (["classify", "a", "b", "--bogus"], "flexglove classify: error: unrecognized arguments: --bogus"),
+            (["--bogus", "classify", "a", "b"], "flexglove: error: unrecognized arguments: --bogus"),
+        ],
+        ids=["no-command", "unknown-command", "missing-positional", "non-int", "unknown-option", "leading-option"],
+    )
+    def test_rejected_line_exits_2_with_argparse_message(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prog = message.partition(": error: ")[0]
+        assert captured.err.startswith(f"usage: {prog} [-h]")
+        assert captured.err.endswith("\n" + message + "\n")
+        assert "Traceback" not in captured.err
+
+    def test_leading_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("-h")
+        assert exc.value.code == 0
+        assert "{characterize,simulate,analyze,classify}" in capsys.readouterr().out
+
+    def test_analyze_manifest_is_unchanged(self, small_cohort_dir, tmp_path):
+        out = tmp_path / "analysis"
+        assert run("analyze", small_cohort_dir, "--out", out) == 0
+        manifest = {
+            "arguments": {
+                "command": "analyze", "expected_frames": 100, "out": str(out), "sessions": str(small_cohort_dir),
+            },
+            "command": "analyze",
+            "outputs": ["cohort.csv", "regression.csv", "discriminability.csv", "centroids.csv"],
+            "tool": "flexglove",
+            "version": "0.1.0",
+        }
+        assert (out / "manifest.json").read_text() == json.dumps(manifest, indent=2) + "\n"
+
 
 def zero_sphere_users(tmp_path):
     return ["simulate", "--users-sphere", "0"]

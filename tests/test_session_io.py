@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexglove import (
+    ArgumentError,
     GraspObject,
     GraspSession,
     MalformedFrame,
@@ -27,19 +28,14 @@ from flexglove import (
 from flexglove import session_io
 from flexglove.cli import main
 from flexglove.errors import _READ_CHUNK, read_bytes
-from oracles import read_session_by_header_loop, read_session_by_line
+from oracles import field_types, read_session_by_header_loop, read_session_by_line, session_from_rows
 
 adc_values = st.integers(min_value=0, max_value=1023)
 
 
 def make_session(n_frames=3, diameter=8.0, user="u01", period=50):
     frames = [(i * period, 10 + i, 20, 30, 40, 50) for i in range(n_frames)]
-    return GraspSession(
-        user_id=user,
-        obj=GraspObject(Shape.SPHERE, diameter),
-        frames=frames,
-        sample_period_ms=period,
-    )
+    return session_from_rows(user, GraspObject(Shape.SPHERE, diameter), frames, period)
 
 
 class TestParseFrame:
@@ -161,7 +157,7 @@ class TestReadSession:
     def test_float_count_is_written_as_it_is_and_rejected(self, tmp_path):
         # A "%d" template once wrote 512.9 as 512, which read back without
         # complaint as a different session.
-        session = make_session()._replace(frames=[(0, 512.9, 1, 2, 3, 4)])
+        session = make_session()._replace(stamps=[0], counts=([512.9], [1], [2], [3], [4]))
         write_session_file(session, tmp_path / "s.session")
         assert read_bytes(tmp_path / "s.session").endswith(b"\n0,512.9,1,2,3,4\n")
         with pytest.raises(MalformedFrame) as exc:
@@ -245,6 +241,36 @@ class TestReadSession:
             read_session("# schema=1é".encode("utf-8"))
 
 
+class TestColumns:
+    @pytest.mark.parametrize("n_frames", [0, 1, 4, 100])
+    def test_written_simulated_session_reads_back_equal(self, tmp_path, n_frames):
+        session = simulate_session(
+            GraspObject(Shape.SPHERE, 8.0), make_hand_profile("s01", 3), SensorConfig(), 11, n_frames=n_frames
+        )
+        path = tmp_path / "s.session"
+        write_session_file(session, path)
+        back = read_session_file(path)
+        assert back == session
+        assert field_types(back) == field_types(session)
+        rows = [tuple(map(int, line.split(","))) for line in read_bytes(path).decode().splitlines()[5:]]
+        assert len(rows) == n_frames
+        assert back.frames == session.frames == rows
+
+    def test_frames_are_the_rows_of_the_columns(self):
+        session = make_session()
+        assert session.frames == [(0, 10, 20, 30, 40, 50), (50, 11, 20, 30, 40, 50), (100, 12, 20, 30, 40, 50)]
+
+    @pytest.mark.parametrize("finger", range(5))
+    def test_short_column_is_not_written(self, finger):
+        counts = list(make_session().counts)
+        counts[finger] = counts[finger][:-1]
+        with pytest.raises(ArgumentError) as exc:
+            format_session(make_session()._replace(counts=tuple(counts)))
+        lengths = [3] * 6
+        lengths[finger + 1] = 2
+        assert str(exc.value) == f"session columns differ in length: {lengths} (stamps, then counts)"
+
+
 @st.composite
 def sessions(draw, starts=st.integers(min_value=0, max_value=1000)):
     """A session whose timestamps run from a drawn start at its period."""
@@ -255,14 +281,14 @@ def sessions(draw, starts=st.integers(min_value=0, max_value=1000)):
         (t0 + i * period, *draw(st.tuples(*[adc_values] * 5)))
         for i in range(n)
     ]
-    return GraspSession(
-        user_id=draw(st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,8}", fullmatch=True)),
-        obj=GraspObject(
+    return session_from_rows(
+        draw(st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,8}", fullmatch=True)),
+        GraspObject(
             draw(st.sampled_from(list(Shape))),
             draw(st.floats(min_value=0.25, max_value=64.0, allow_nan=False)),
         ),
-        frames=frames,
-        sample_period_ms=period,
+        frames,
+        period,
     )
 
 
@@ -403,10 +429,12 @@ _TWO_LINE_MUTATIONS = {_stamp_not_increasing, _field_to_next_line}
 
 
 def _outcome(read, data):
+    """The session with its field types, or the error's kind, message and line."""
     try:
-        return read(data)
+        session = read(data)
     except ParseError as exc:
         return type(exc), str(exc), exc.line
+    return session, field_types(session)
 
 
 class TestBlockLineParity:
@@ -476,6 +504,19 @@ class TestBlockLineParity:
         raw = b"# schema=1\n# user=u\n# shape=sphere\n# diameter_cm=8\n# period_ms=%d\n" % period
         raw += b"".join(b"%s,1,2,3,4,5\n" % t for t in stamps.encode().split(b",") if stamps)
         assert _outcome(read_session, raw) == _outcome(read_session_by_line, raw)
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"", b"0,1,2,3,4,5\n", b"0,1,2,3,4,5\n50,1,2,3,4,5\n",
+         # Leading zero counts, which only the line loop accepts.
+         b"0,01,2,3,4,5\n", b"0,1,2,3,4,5\n50,1,2,3,4,05\n"],
+        ids=["n0", "n1-block", "n2-block", "n1-lines", "n2-lines"],
+    )
+    def test_sound_blocks_match_line_reader(self, body):
+        raw = format_session(make_session(n_frames=0)) + body
+        session, types = _outcome(read_session, raw)
+        assert (session, types) == _outcome(read_session_by_line, raw)
+        assert len(session.stamps) == body.count(b"\n")
 
     @pytest.mark.parametrize(
         "raw",

@@ -15,7 +15,6 @@ from flexglove import (
     DegenerateRange,
     FingerStats,
     GraspObject,
-    GraspSession,
     PreconditionViolation,
     Shape,
     CohortTable,
@@ -27,12 +26,12 @@ from flexglove import (
     sem,
     session_means,
 )
-from oracles import ols_oracle, sem_oracle
+from oracles import ols_oracle, sem_oracle, session_from_rows
 
 
 def constant_session(value, n=100, user="u01", shape=Shape.SPHERE, diameter=8.0):
     frames = [(i * 50, *(value,) * 5) for i in range(n)]
-    return GraspSession(user_id=user, obj=GraspObject(shape, diameter), frames=frames)
+    return session_from_rows(user, GraspObject(shape, diameter), frames)
 
 
 class TestSessionMean:
@@ -41,7 +40,7 @@ class TestSessionMean:
 
     def test_alternating(self):
         frames = [(i * 50, *(500 if i % 2 else 502,) * 5) for i in range(100)]
-        session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
+        session = session_from_rows("u01", GraspObject(Shape.SPHERE, 8.0), frames)
         assert session_means(session) == (501.0,) * 5
 
     def test_wrong_frame_count(self):
@@ -51,7 +50,7 @@ class TestSessionMean:
     def test_all_fingers_in_one_pass_match_per_finger(self):
         rng = random.Random(5)
         frames = [(i * 50, *(rng.randrange(1024) for _ in range(5))) for i in range(100)]
-        session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
+        session = session_from_rows("u01", GraspObject(Shape.SPHERE, 8.0), frames)
         means = session_means(session)
         assert len(means) == 5
         for i in range(5):
@@ -60,7 +59,7 @@ class TestSessionMean:
     @given(st.lists(st.tuples(*[st.integers(0, 1023)] * 5), min_size=1, max_size=300))
     def test_equals_fmean_bit_for_bit(self, counts):
         frames = [(i, *row) for i, row in enumerate(counts)]
-        session = GraspSession("u01", GraspObject(Shape.SPHERE, 8.0), frames)
+        session = session_from_rows("u01", GraspObject(Shape.SPHERE, 8.0), frames)
         expected = tuple(statistics.fmean(column) for column in list(zip(*counts)))
         assert session_means(session, expected_frames=len(frames)) == expected
 
@@ -68,6 +67,17 @@ class TestSessionMean:
     def test_expected_frames_below_one_rejected(self, expected):
         with pytest.raises(ArgumentError, match="at least 1"):
             session_means(constant_session(512, n=0), expected_frames=expected)
+
+    @pytest.mark.parametrize("finger", range(5))
+    def test_short_column_rejected(self, finger):
+        session = constant_session(512)
+        counts = list(session.counts)
+        counts[finger] = counts[finger][:-1]
+        lengths = [100] * 5
+        lengths[finger] = 99
+        with pytest.raises(ArgumentError) as exc:
+            session_means(session._replace(counts=tuple(counts)))
+        assert str(exc.value) == f"session u01/sphere/8.0 has 100 stamps but count columns of lengths {lengths}"
 
 
 class TestMinMaxNormalize:

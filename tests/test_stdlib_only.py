@@ -193,3 +193,27 @@ def test_cli_import_loads_no_slow_stdlib_module():
         [sys.executable, "-I", "-B", "-c", probe], capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def attribute_reads(tree: ast.AST, name: str) -> list[int]:
+    """The line of each read of an attribute called ``name`` in ``tree``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sources_read_no_frame_rows(path):
+    """GraspSession.frames builds every row anew on each access.  It serves
+    bench/ and the tests; the pipeline reads the stamp and count columns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert attribute_reads(tree, "frames") == []
+
+
+def test_guard_flags_a_frames_read():
+    tree = ast.parse(
+        "n = len(session.frames)\nfirst = s.frames[0]\nframes = 3\n\n"
+        "def frames(self):\n    return self.stamps\n"
+    )
+    assert attribute_reads(tree, "frames") == [1, 2]
