@@ -120,6 +120,17 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same_spelling(diameters: list[float]) -> tuple[int, int] | None:
+    """The indices (j, i), j < i, of the first diameter whose {:g} form, the
+    spelling of session file names and output rows, repeats an earlier one."""
+    first: dict[str, int] = {}
+    for i, d in enumerate(diameters):
+        j = first.setdefault(f"{d:g}", i)
+        if j != i:
+            return j, i
+    return None
+
+
 def _parse_diameters(text: str) -> list[float]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
@@ -128,11 +139,10 @@ def _parse_diameters(text: str) -> list[float]:
         raise ArgumentError(f"bad --diameters value {text!r}") from None
     if not diameters:
         raise ArgumentError("--diameters lists no diameters")
-    first: dict[str, int] = {}
-    for i, d in enumerate(diameters):
-        j = first.setdefault(f"{d:g}", i)
-        if j != i:
-            raise ArgumentError(f"--diameters {parts[j]} and {parts[i]} both name {d:g}cm session files")
+    clash = _same_spelling(diameters)
+    if clash is not None:
+        j, i = clash
+        raise ArgumentError(f"--diameters {parts[j]} and {parts[i]} both name {diameters[i]:g}cm session files")
     return diameters
 
 
@@ -192,6 +202,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not names:
         raise ArgumentError(f"no .session files in {session_dir}")
     table = build_cohort(_read_sessions(session_dir, names), expected_frames=args.expected_frames)
+    centroids = build_centroids(table)
+    # Two diameters of one spelling would write centroid rows that classify rejects.
+    for shape in sorted(Shape):
+        diameters = [c.diameter_cm for c in centroids if c.shape is shape]
+        clash = _same_spelling(diameters)
+        if clash is not None:
+            j, i = clash
+            raise ArgumentError(
+                f"{shape.value} sessions at {diameters[j]!r} cm and {diameters[i]!r} cm "
+                f"both write as {diameters[i]:g} cm"
+            )
     cohort_rows = [
         [shape.value, f"{d:g}", finger, _fmt(st.mean), _fmt(st.sem), str(st.n)]
         for (shape, d, finger), st in table.summary.items()
@@ -217,7 +238,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "discriminability.csv": _csv(
             ["diameter_cm"] + [f"{f}_overlap" for f in FINGERS] + ["discriminable"], disc_rows
         ),
-        "centroids.csv": centroids_to_csv(build_centroids(table), table.raw_scale),
+        "centroids.csv": centroids_to_csv(centroids, table.raw_scale),
     })
     return 0
 

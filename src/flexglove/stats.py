@@ -5,12 +5,16 @@ The pipeline: average each finger's in-session samples to one raw value,
 rescale each user's raw values to [0, 1] across that user's diameter sweep
 (per finger, per shape), then gather each (shape, diameter, finger) cell's
 values, one per user, into a CohortTable, which summarizes every cell once
-as a mean, an SEM and a count.
+as a mean, an SEM and a count.  A sweep is rescaled one finger column at a
+time and gathered as one row of five values per session; each cell's SEM is
+taken exactly, from its values scaled by one power of two to ints.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
+from itertools import filterfalse
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ArgumentError, DegenerateRange, PreconditionViolation
@@ -21,6 +25,8 @@ CellKey = tuple[Shape, float, str]  # (shape, diameter_cm, finger)
 # session means, each a 5-tuple in FINGERS order.  A centroid file holds them
 # as the shape's raw_min and raw_max rows.
 ScaleContext = dict[Shape, tuple[tuple[float, ...], tuple[float, ...]]]
+
+_FINGER_RANK = {finger: i for i, finger in enumerate(FINGERS)}
 
 # cohort_fits' subrange: the diameters above which thumb and index saturate.
 SUBRANGE_ABOVE_CM = 10.0
@@ -68,7 +74,7 @@ class CohortTable:
         return sorted({k[1] for k in self.values if k[0] == shape})
 
     def cells(self) -> list[CellKey]:
-        return sorted(self.values, key=lambda k: (k[0], k[1], FINGERS.index(k[2])))
+        return sorted(self.values, key=lambda k: (k[0], k[1], _FINGER_RANK[k[2]]))
 
 
 def check_expected_frames(expected_frames: int) -> None:
@@ -80,33 +86,50 @@ def check_expected_frames(expected_frames: int) -> None:
 def session_means(session: GraspSession, expected_frames: int = DEFAULT_FRAME_COUNT) -> tuple[float, ...]:
     """Mean raw count of each finger, in FINGERS order, over a session of the
     expected length."""
-    check_expected_frames(expected_frames)
     n = len(session.stamps)
-    if n != expected_frames:
+    if n != expected_frames or expected_frames < 1:
+        check_expected_frames(expected_frames)  # raises first for an expected count below 1
         raise PreconditionViolation(
             f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
             f"has {n} frames, expected {expected_frames}"
         )
-    lengths = list(map(len, session.counts))
-    if lengths != [n] * len(FINGERS):
+    counts = session.counts
+    lengths = list(map(len, counts))
+    if lengths.count(n) != len(FINGERS):
         raise ArgumentError(
             f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
             f"has {n} stamps but count columns of lengths {lengths}"
         )
     # sum/len of an int column is the float math.fsum(c) / len(c) gives, in less time.
-    return tuple([sum(c) / n for c in session.counts])
+    return tuple([sum(c) / n for c in counts])
+
+
+def _normalized(column: Sequence[float]) -> tuple[list[float], float, float] | None:
+    """``column`` rescaled so that its minimum is exactly 0 and its maximum
+    exactly 1, then that minimum and maximum; None where min_max_normalize
+    raises: fewer than two values, a value that is not finite, or no spread."""
+    if len(column) < 2 or not all(map(math.isfinite, column)):
+        return None
+    lo, hi = min(column), max(column)
+    if lo == hi:
+        return None
+    span = hi - lo
+    return [(v - lo) / span for v in column], lo, hi
 
 
 def min_max_normalize(values: Mapping[float, float]) -> dict[float, float]:
     """Rescale one user's diameter sweep so its minimum is exactly 0 and its
     maximum exactly 1.  Flat input means a dead channel and raises."""
-    if len(values) < 2:
-        raise PreconditionViolation(f"need at least 2 diameters, got {len(values)}")
-    lo, hi = min(values.values()), max(values.values())
-    if lo == hi:
-        raise DegenerateRange(f"all values equal {lo}; channel looks flat")
-    span = hi - lo
-    return {d: (v - lo) / span for d, v in values.items()}
+    column = values.values()
+    scaled = _normalized(column)
+    if scaled is not None:
+        return dict(zip(values, scaled[0]))
+    if len(column) < 2:
+        raise PreconditionViolation(f"need at least 2 diameters, got {len(column)}")
+    bad = next(filterfalse(math.isfinite, column), None)
+    if bad is not None:
+        raise PreconditionViolation(f"need finite values, got {bad!r}")
+    raise DegenerateRange(f"all values equal {min(column)}; channel looks flat")
 
 
 # _sqrt_of_frac scales num/den to at least 2**108, so the integer root holds
@@ -127,22 +150,48 @@ def _sqrt_of_frac(num: int, den: int) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
+def _exact_ints(values: Sequence[float]) -> tuple[list[int], int]:
+    """Ints xs and a denominator d with xs[i] / d == values[i] exactly.
+
+    A float of exponent e (math.frexp) is a multiple of 2**(e - 53), and the
+    smallest non-zero magnitude has the smallest exponent, so scaling by 2**k,
+    k = max(0, 53 - e) for that magnitude, makes every value of a sample of
+    floats an int; the scaling is exact.  Where 2**k or a scaled value
+    overflows, and for any other sample, each value's integer ratio is
+    brought to the largest denominator: 1 for a sample of ints.
+    """
+    if set(map(type, values)) == {float}:
+        smallest = min(values)  # the smallest magnitude, if every value is positive
+        if not smallest > 0:
+            smallest = min(filter(None, map(abs, values)), default=0.0)
+        k = max(0, 53 - math.frexp(smallest)[1])
+        try:
+            scale = 2.0**k
+            return [int(v * scale) for v in values], 1 << k
+        except (OverflowError, ValueError):
+            pass  # an overflow, or a value that is not finite
+    try:
+        ratios = [x.as_integer_ratio() for x in values]
+    except (OverflowError, ValueError):
+        bad = next(filterfalse(math.isfinite, values))
+        raise PreconditionViolation(f"SEM needs finite values, got {bad!r}") from None
+    d = max([b for _, b in ratios])
+    return [a * d // b for a, b in ratios], d
+
+
 def sem(values: Sequence[float]) -> float:
     """Standard error of the mean: the sample (n-1) standard deviation over
     sqrt(n), for n >= 2 finite values.
 
     The standard deviation is the exact one, correctly rounded: the same
     float as statistics.stdev(values), so the result is the same float as
-    statistics.stdev(values) / math.sqrt(n).  Each value is an integer over a
-    power of two, so over the largest denominator d the sums of x and x*x
-    are exact ints.
+    statistics.stdev(values) / math.sqrt(n).  Over the common denominator d
+    of _exact_ints, the sums of x and x*x are exact ints.
     """
     n = len(values)
     if n < 2:
         raise PreconditionViolation(f"SEM needs n >= 2, got {n}")
-    ratios = [x.as_integer_ratio() for x in values]
-    d = max([b for _, b in ratios])
-    xs = [a * d // b for a, b in ratios]
+    xs, d = _exact_ints(values)
     sx = sum(xs)
     sxx = sum(map(operator.mul, xs, xs))
     return _sqrt_of_frac(n * sxx - sx * sx, n * (n - 1) * d * d) / math.sqrt(n)
@@ -151,7 +200,8 @@ def sem(values: Sequence[float]) -> float:
 def summarize(values: Sequence[float]) -> FingerStats:
     """Mean, SEM and n of a sample.  The SEM comes first: it rejects a sample
     of fewer than two values before the mean can divide by zero."""
-    return FingerStats(sem=sem(values), mean=math.fsum(values) / len(values), n=len(values))
+    spread = sem(values)
+    return FingerStats(math.fsum(values) / len(values), spread, len(values))
 
 
 def linear_fit(points: Sequence[tuple[float, float]]) -> RegressionFit:
@@ -209,31 +259,39 @@ def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = DEFAUL
     if not sweeps:
         raise ArgumentError("no sessions to analyze")
 
-    cells: dict[CellKey, list[float]] = {}
+    # Each session's five normalized values as one row, gathered by (shape, diameter).
+    rows: defaultdict[tuple[Shape, float], list[tuple[float, ...]]] = defaultdict(list)
     extremes: dict[Shape, tuple[list, list]] = {}
     # A stable sort: each user's shapes keep their first-seen order.
     for (user, shape), sweep in sorted(sweeps.items(), key=lambda item: item[0][0]):
         columns = list(zip(*sweep.values()))
-        for finger, column in zip(FINGERS, columns):
-            try:
-                normalized = min_max_normalize(dict(zip(sweep, column)))
+        scaled = list(map(_normalized, columns))
+        if None in scaled:
+            j = scaled.index(None)
+            try:  # raises the reason the column cannot be normalized
+                min_max_normalize(dict(zip(sweep, columns[j])))
             except PreconditionViolation as exc:
-                exc.args = (f"user {user}, {shape.value}, {finger}: {exc}",)
+                exc.args = (f"user {user}, {shape.value}, {FINGERS[j]}: {exc}",)
                 raise
-            for d, value in normalized.items():
-                cells.setdefault((shape, d, finger), []).append(value)
-        lows, highs = extremes.setdefault(shape, ([], []))
-        lows.append(tuple(map(min, columns)))
-        highs.append(tuple(map(max, columns)))
-    for (shape, d, finger), vals in cells.items():
-        if len(vals) < 2:
+        normalized, lows, highs = zip(*scaled)
+        for d, row in zip(sweep, zip(*normalized)):
+            rows[shape, d].append(row)
+        shape_lows, shape_highs = extremes.setdefault(shape, ([], []))
+        shape_lows.append(lows)
+        shape_highs.append(highs)
+    # Each finger of a (shape, diameter) has the same users: the thumb's cell speaks for all.
+    for (shape, d), cell_rows in rows.items():
+        if len(cell_rows) < 2:
             raise PreconditionViolation(
-                f"cell ({shape.value}, {d:g}, {finger}) has a single contributing user; SEM is undefined"
+                f"cell ({shape.value}, {d:g}, {FINGERS[0]}) has a single contributing user; SEM is undefined"
             )
+    values: dict[CellKey, tuple[float, ...]] = {}
+    for shape, d in sorted(rows):
+        values.update(zip([(shape, d, finger) for finger in FINGERS], zip(*rows[shape, d])))
     return CohortTable(
-        values={k: tuple(v) for k, v in cells.items()},
+        values=values,
         raw_scale={
-            shape: tuple(tuple([math.fsum(c) / len(c) for c in zip(*rows)]) for rows in pair)
+            shape: tuple(tuple([math.fsum(c) / len(c) for c in zip(*by_user)]) for by_user in pair)
             for shape, pair in extremes.items()
         },
     )

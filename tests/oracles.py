@@ -7,7 +7,11 @@ that read_session's block pass must agree with: it shares only parse_frame,
 whose errors the parser tests pin literally, and the package's types.  The
 header oracle is the line loop that read_session's header pattern must agree
 with; it reads the frame block through the package's own block reader, which
-the line-at-a-time oracle checks.  The noise oracles draw every offset with
+the line-at-a-time oracle checks.  The cohort oracle is build_cohort as it was
+before it gathered each session's normalized values as one row: one dict per
+normalized finger sweep and one list per cell, each cell summarized by
+statistics.stdev and math.fsum.  It shares session_means, FingerStats and the
+error classes with the package.  The noise oracles draw every offset with
 its own rng.randint call, as the converter model did before it took a whole
 stream in one draw; they share only the clean counts with the package.
 
@@ -18,16 +22,22 @@ the default-table hand profile and the verdict lookup by diameter.
 """
 import math
 import random
+import statistics
 import sys
 
 from flexglove import (
+    ArgumentError,
+    DegenerateRange,
+    FingerStats,
     GraspObject,
     GraspSession,
     MalformedHeader,
     OrderViolation,
+    PreconditionViolation,
     SchemaError,
     Shape,
     parse_frame,
+    session_means,
 )
 from flexglove.sensor import _CONFIG_KEYS, _CURVE_KEYS, clean_adc_at_diameter
 from flexglove.session_io import _read_frames
@@ -59,6 +69,52 @@ def ols_oracle(points):
     ss_tot = sum((y - mean_y) ** 2 for _, y in points)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return slope, intercept, r2
+
+
+def build_cohort_oracle(sessions, expected_frames=100):
+    """(values, summary, raw_scale) of a cohort, as CohortTable holds them:
+    build_cohort with five cell appends per session."""
+    sweeps = {}
+    for session in sessions:
+        sweep = sweeps.setdefault((session.user_id, session.obj.shape), {})
+        d = session.obj.diameter_cm
+        if d in sweep:
+            raise ArgumentError(f"duplicate session for {session.user_id}/{session.obj.shape.value}/{d} cm")
+        sweep[d] = session_means(session, expected_frames)
+    if not sweeps:
+        raise ArgumentError("no sessions to analyze")
+
+    cells = {}
+    extremes = {}
+    for (user, shape), sweep in sorted(sweeps.items(), key=lambda item: item[0][0]):
+        columns = list(zip(*sweep.values()))
+        for finger, column in zip(FINGERS, columns):
+            values = dict(zip(sweep, column))
+            if len(values) < 2:
+                raise PreconditionViolation(f"user {user}, {shape.value}, {finger}: need at least 2 diameters, got {len(values)}")
+            lo, hi = min(values.values()), max(values.values())
+            if lo == hi:
+                raise DegenerateRange(f"user {user}, {shape.value}, {finger}: all values equal {lo}; channel looks flat")
+            for d, v in values.items():
+                cells.setdefault((shape, d, finger), []).append((v - lo) / (hi - lo))
+        lows, highs = extremes.setdefault(shape, ([], []))
+        lows.append(tuple(map(min, columns)))
+        highs.append(tuple(map(max, columns)))
+    for (shape, d, finger), vals in cells.items():
+        if len(vals) < 2:
+            raise PreconditionViolation(
+                f"cell ({shape.value}, {d:g}, {finger}) has a single contributing user; SEM is undefined"
+            )
+    values = {k: tuple(v) for k, v in cells.items()}
+    summary = {
+        key: FingerStats(math.fsum(v) / len(v), statistics.stdev(v) / math.sqrt(len(v)), len(v))
+        for key, v in sorted(values.items(), key=lambda item: (item[0][0], item[0][1], FINGERS.index(item[0][2])))
+    }
+    raw_scale = {
+        shape: tuple(tuple(math.fsum(c) / len(c) for c in zip(*rows)) for rows in pair)
+        for shape, pair in extremes.items()
+    }
+    return values, summary, raw_scale
 
 
 def noisy_by_draw(clean_counts, rng, sensor):

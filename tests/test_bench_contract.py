@@ -52,3 +52,18 @@ def test_sensor_span_times_every_noise_mapping(tmp_path):
         ]) == 0
     assert tracer.units["simulate.sessions"] == 12
     assert tracer.calls["sensor"] == 60
+
+
+def test_one_cell_stats_call_per_cell(tmp_path):
+    """`stats.cell_stats` times `CohortTable.stats`, which analyze calls once
+    per cell, so its call count equals the `stats.cells` unit count."""
+    sessions = tmp_path / "sessions"
+    assert main([
+        "simulate", "--out", str(sessions), "--users-sphere", "2", "--users-cylinder", "3",
+        "--diameters", "6,8,12",
+    ]) == 0
+    tracer = layers.Tracer()
+    with layers.installed(tracer):
+        assert main(["analyze", str(sessions), "--out", str(tmp_path / "analysis")]) == 0
+    assert tracer.units["stats.cells"] == 2 * 3 * 5
+    assert tracer.calls["stats.cell_stats"] == tracer.units["stats.cells"]

@@ -12,9 +12,9 @@ from flexglove.classify import _centroids_by_row, build_centroids, centroids_fro
 from flexglove.cli import main
 from flexglove.sensor import SensorConfig
 from flexglove.session_io import write_session_file
-from flexglove.simulate import DEFAULT_PROFILE_TABLE
+from flexglove.simulate import DEFAULT_PROFILE_TABLE, make_hand_profile, simulate_session
 from flexglove.stats import CohortTable, sem
-from flexglove.types import SHAPE_BY_NAME
+from flexglove.types import SHAPE_BY_NAME, GraspObject, Shape
 from oracles import characterize_by_draw, format_config, format_profile_table
 
 
@@ -426,6 +426,24 @@ class TestAnalyze:
         assert run("analyze", small_cohort_dir, "--out", tmp_path / "a") == 3
         assert "MalformedHeader: inf.session: line 4: diameter must be finite" in capsys.readouterr().err
         bad.unlink()
+
+    def test_diameters_of_one_spelling_are_argument_error(self, tmp_path):
+        # Both diameters wrote as 12.3457: analyze exited 0 and classify then
+        # rejected the repeated centroid row of its centroids.csv.
+        sessions = tmp_path / "sessions"
+        sessions.mkdir()
+        objects = [GraspObject(Shape.SPHERE, d) for d in (6.0, 8.0)]
+        objects += [GraspObject(Shape.CYLINDER, d) for d in (6.0, 12.3456781, 12.3456789)]
+        profiles = [make_hand_profile(user, seed) for seed, user in enumerate(("a", "b"))]
+        for i, obj in enumerate(objects):
+            for j, profile in enumerate(profiles):
+                session = simulate_session(obj, profile, SensorConfig(), 2 * i + j, n_frames=4)
+                write_session_file(session, sessions / f"{obj.shape.value}_{obj.diameter_cm!r}_{profile.user_id}.session")
+        out = tmp_path / "a"
+        code, err = run_quietly("analyze", sessions, "--out", out, "--expected-frames", "4")
+        assert code == 2
+        assert err == "ArgumentError: cylinder sessions at 12.3456781 cm and 12.3456789 cm both write as 12.3457 cm\n"
+        assert not out.exists()
 
 
 def swap_sphere_extremes(lines):

@@ -14,7 +14,9 @@ from flexglove import (
     ArgumentError,
     DegenerateRange,
     FingerStats,
+    GloveError,
     GraspObject,
+    GraspSession,
     PreconditionViolation,
     Shape,
     CohortTable,
@@ -26,7 +28,7 @@ from flexglove import (
     sem,
     session_means,
 )
-from oracles import ols_oracle, sem_oracle, session_from_rows
+from oracles import build_cohort_oracle, ols_oracle, sem_oracle, session_from_rows
 
 
 def constant_session(value, n=100, user="u01", shape=Shape.SPHERE, diameter=8.0):
@@ -91,6 +93,13 @@ class TestMinMaxNormalize:
     def test_single_point_rejected(self):
         with pytest.raises(PreconditionViolation):
             min_max_normalize({6: 700.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # nan gave nan for its diameter, and inf nan for every other one.
+        with pytest.raises(PreconditionViolation) as exc:
+            min_max_normalize({6: 1.0, 7: bad, 8: 2.0})
+        assert str(exc.value) == f"need finite values, got {bad!r}"
 
     @given(
         st.lists(
@@ -170,6 +179,31 @@ class TestSem:
         two_pass = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / 2) / math.sqrt(3)
         assert sem(values) == statistics.stdev(values) / math.sqrt(3) == 0.1855921454276674
         assert two_pass != sem(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [5e-324, 1.0],  # a subnormal next to 1.0: 2**k overflows
+            [1e-300, 1023.0],
+            [1e-10, 1e300],  # 2**k fits, but a scaled value overflows
+            [2.0**53, 2.0**53 + 2, 2.0**60, -(2.0**70)],  # floats >= 2**53: k = 0
+            [2**53 + 1, 2**60 + 3, 7],  # ints beyond a float's 53 bits
+            [1e-300, 1023],  # a float and an int
+            [-1.5, 2.25, -1e-3, 0.0],
+            [0.0, 0.0, 0.0],
+            [0.0, -0.0, 0.5, -0.25],
+        ],
+    )
+    def test_bit_identical_where_scaling_falls_back_or_is_trivial(self, values):
+        assert sem(values) == statistics.stdev(values) / math.sqrt(len(values))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # nan raised a bare ValueError, and inf a bare OverflowError.
+        for values in ([1.0, bad], [1, bad], [1e-300, 1.0, bad]):
+            with pytest.raises(PreconditionViolation) as exc:
+                sem(values)
+            assert str(exc.value) == f"SEM needs finite values, got {bad!r}"
 
     @settings(max_examples=300)
     @given(SEM_SAMPLES)
@@ -398,3 +432,61 @@ class TestBuildCohort:
     def test_no_sessions_rejected(self):
         with pytest.raises(ArgumentError):
             build_cohort([])
+
+
+def random_cohort(rng):
+    """The sessions of a small random cohort, shuffled, and their frame count.
+
+    One or two shapes of one to four users.  Most users sweep every diameter
+    of the cohort's grid; the others a random subset of it, so that some user
+    has one diameter and some cell one user.  Counts come from a narrow range
+    in one cohort of eight, so that flat channels and tied extremes occur; one
+    cohort in twenty repeats a session.
+    """
+    n_frames = rng.randint(1, 3)
+    top = 2 if rng.random() < 0.125 else 1023
+    grid = rng.sample([6.0, 7.5, 8.0, 10.0, 12.25, 16.0], rng.randint(2, 5))
+    sessions = []
+    for shape in rng.sample(list(Shape), rng.randint(1, 2)):
+        for u in range(rng.randint(1, 4)):
+            sweep = grid if rng.random() < 0.8 else rng.sample(grid, rng.randint(1, len(grid)))
+            for d in sweep:
+                counts = tuple([rng.randint(0, top) for _ in range(n_frames)] for _ in FINGERS)
+                stamps = list(range(0, 50 * n_frames, 50))
+                sessions.append(GraspSession(f"{shape.value[0]}{u:02d}", GraspObject(shape, d), stamps, counts))
+    if rng.random() < 0.05:
+        sessions.append(rng.choice(sessions))
+    rng.shuffle(sessions)
+    return sessions, n_frames
+
+
+def cohort_outcome(build, sessions, n_frames):
+    """What ``build`` makes of a cohort: its cells, summary and raw scale,
+    each as the repr that pins every float bit, or the type and message of
+    the error it raised first."""
+    try:
+        result = build(sessions, expected_frames=n_frames)
+    except GloveError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, CohortTable):
+        assert list(result.values) == result.cells()
+        result = result.values, result.summary, result.raw_scale
+    values, summary, raw_scale = result
+    return repr(sorted(values.items())), repr(list(summary.items())), repr(raw_scale)
+
+
+def test_build_cohort_matches_oracle_on_random_cohorts():
+    rng = random.Random(25)
+    kinds = {"duplicate session": 0, "need at least 2": 0, "all values equal": 0, "single contributing user": 0}
+    built = 0
+    for _ in range(500):
+        sessions, n_frames = random_cohort(rng)
+        expected = cohort_outcome(build_cohort_oracle, sessions, n_frames)
+        assert cohort_outcome(build_cohort, sessions, n_frames) == expected
+        if isinstance(expected[0], type):
+            (kind,) = [kind for kind in kinds if kind in expected[1]]
+            kinds[kind] += 1
+        else:
+            built += 1
+    # Each outcome occurred: a table, and each of the four errors.
+    assert built > 100 and min(kinds.values()) > 5, (built, kinds)
