@@ -153,6 +153,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     diameters = None if args.diameters is None else _parse_diameters(args.diameters)
 
+    # Each call raises any error its sessions could raise, before --out is
+    # created; the sessions are then simulated, written and dropped one at a time.
     cohorts = []
     for shape, n_users, prefix, seed in (
         (Shape.SPHERE, args.users_sphere, "s", args.seed),

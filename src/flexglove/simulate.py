@@ -5,11 +5,17 @@ actually sees (an affine gain/offset per finger and shape).  A grasp is
 static, so within one session each finger's clean count is constant and only
 converter noise varies frame to frame.  Cohorts draw per-user profiles as
 bounded perturbations of the default table below.
+
+A cohort is returned as an iterator that simulates each session as it is
+read, as the glove records one grasp at a time, so a caller that writes each
+session before reading the next holds one session at a time.  The call
+itself draws every profile and raises any error a session could raise, so a
+caller fails before it has written anything.
 """
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ArgumentError, DomainError, content_lines, finite_floats
 from .sensor import SensorConfig, clean_adc_at_diameter, noise_draws, sample_with_noise
@@ -124,6 +130,11 @@ def simulate_session(
     return GraspSession(profile.user_id, obj, stamps, counts, DEFAULT_PERIOD_MS)
 
 
+def _clean_counts(objects: list[GraspObject], profile: HandProfile, sensor: SensorConfig) -> list[int]:
+    """Each object's five clean counts in turn, as its session computes them."""
+    return [clean_finger_adc(obj, finger, profile, sensor) for obj in objects for finger in FINGERS]
+
+
 def simulate_cohort(
     objects: Iterable[GraspObject],
     n_users: int,
@@ -131,9 +142,15 @@ def simulate_cohort(
     sensor: SensorConfig | None = None,
     table: dict[tuple[str, Shape], FingerProfile] | None = None,
     user_prefix: str = "u",
-) -> list[GraspSession]:
-    """One session per (user, object), with per-user profiles drawn from
-    ``base_seed``.  Bit-for-bit reproducible for identical arguments."""
+) -> Iterator[GraspSession]:
+    """One session per (user, object), users in turn, with per-user profiles
+    drawn from ``base_seed``.  Bit-for-bit reproducible for identical arguments.
+
+    The call checks the arguments, draws every profile from the master stream
+    and raises any error a session could raise.  The iterator it returns then
+    draws each session's seed from the same stream, and simulates the
+    session, only as the session is read.
+    """
     objects = list(objects)
     if not objects:
         raise ArgumentError("object list is empty")
@@ -146,11 +163,27 @@ def simulate_cohort(
         make_hand_profile(f"{user_prefix}{k + 1:02d}", master.getrandbits(32), table)
         for k in range(n_users)
     ]
-    sessions = []
+    # A session can fail only in its clean counts: a gain that is not
+    # positive, or a config whose divider or converter arithmetic overflows.
+    # Once a gain is positive, the bend, the resistance and both voltages are
+    # monotone in the diameter, so each shape's smallest and largest objects
+    # (objects of one shape order by diameter) bound all of its sessions.
+    ends = []
+    for shape in dict.fromkeys(obj.shape for obj in objects):
+        sized = [obj for obj in objects if obj.shape is shape]
+        ends += [min(sized), max(sized)]
     for profile in profiles:
-        for obj in objects:
-            sessions.append(simulate_session(obj, profile, sensor, master.getrandbits(32)))
-    return sessions
+        try:
+            _clean_counts(ends, profile, sensor)
+        except DomainError:
+            # Raise what this user's first failing session would raise.
+            _clean_counts(objects, profile, sensor)
+            raise
+    return (
+        simulate_session(obj, profile, sensor, master.getrandbits(32))
+        for profile in profiles
+        for obj in objects
+    )
 
 
 # --- profile table file support ----------------------------------------------

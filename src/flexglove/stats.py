@@ -104,15 +104,18 @@ def session_means(session: GraspSession, expected_frames: int = DEFAULT_FRAME_CO
     return tuple([sum(c) / n for c in counts])
 
 
-def _normalized(column: Sequence[float]) -> tuple[list[float], float, float] | None:
+def _normalized(column: Sequence[float]) -> tuple[list[float], float, float]:
     """``column`` rescaled so that its minimum is exactly 0 and its maximum
-    exactly 1, then that minimum and maximum; None where min_max_normalize
-    raises: fewer than two values, a value that is not finite, or no spread."""
-    if len(column) < 2 or not all(map(math.isfinite, column)):
-        return None
+    exactly 1, then that minimum and maximum.  Fewer than two values, a value
+    that is not finite, or flat input (a dead channel) raises."""
+    if len(column) < 2:
+        raise PreconditionViolation(f"need at least 2 diameters, got {len(column)}")
+    bad = next(filterfalse(math.isfinite, column), None)
+    if bad is not None:
+        raise PreconditionViolation(f"need finite values, got {bad!r}")
     lo, hi = min(column), max(column)
     if lo == hi:
-        return None
+        raise DegenerateRange(f"all values equal {lo}; channel looks flat")
     span = hi - lo
     return [(v - lo) / span for v in column], lo, hi
 
@@ -120,16 +123,7 @@ def _normalized(column: Sequence[float]) -> tuple[list[float], float, float] | N
 def min_max_normalize(values: Mapping[float, float]) -> dict[float, float]:
     """Rescale one user's diameter sweep so its minimum is exactly 0 and its
     maximum exactly 1.  Flat input means a dead channel and raises."""
-    column = values.values()
-    scaled = _normalized(column)
-    if scaled is not None:
-        return dict(zip(values, scaled[0]))
-    if len(column) < 2:
-        raise PreconditionViolation(f"need at least 2 diameters, got {len(column)}")
-    bad = next(filterfalse(math.isfinite, column), None)
-    if bad is not None:
-        raise PreconditionViolation(f"need finite values, got {bad!r}")
-    raise DegenerateRange(f"all values equal {min(column)}; channel looks flat")
+    return dict(zip(values, _normalized(values.values())[0]))
 
 
 # _sqrt_of_frac scales num/den to at least 2**108, so the integer root holds
@@ -264,14 +258,12 @@ def build_cohort(sessions: Iterable[GraspSession], expected_frames: int = DEFAUL
     extremes: dict[Shape, tuple[list, list]] = {}
     # A stable sort: each user's shapes keep their first-seen order.
     for (user, shape), sweep in sorted(sweeps.items(), key=lambda item: item[0][0]):
-        columns = list(zip(*sweep.values()))
-        scaled = list(map(_normalized, columns))
-        if None in scaled:
-            j = scaled.index(None)
-            try:  # raises the reason the column cannot be normalized
-                min_max_normalize(dict(zip(sweep, columns[j])))
+        scaled = []
+        for finger, column in zip(FINGERS, zip(*sweep.values())):
+            try:
+                scaled.append(_normalized(column))
             except PreconditionViolation as exc:
-                exc.args = (f"user {user}, {shape.value}, {FINGERS[j]}: {exc}",)
+                exc.args = (f"user {user}, {shape.value}, {finger}: {exc}",)
                 raise
         normalized, lows, highs = zip(*scaled)
         for d, row in zip(sweep, zip(*normalized)):

@@ -28,7 +28,7 @@ def simulate_default_cohort(seed, sensor):
     cylinder = fg.simulate_cohort(
         default_objects(Shape.CYLINDER), 8, seed + 1, sensor, user_prefix="c"
     )
-    return sphere + cylinder
+    return [*sphere, *cylinder]
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,8 @@ from flexglove import classify, cli, errors
 from flexglove.classify import _centroids_by_row, build_centroids, centroids_from_csv, centroids_to_csv
 from flexglove.cli import main
 from flexglove.sensor import SensorConfig
-from flexglove.session_io import write_session_file
-from flexglove.simulate import DEFAULT_PROFILE_TABLE, make_hand_profile, simulate_session
+from flexglove.session_io import format_session, write_session_file
+from flexglove.simulate import DEFAULT_PROFILE_TABLE, make_hand_profile, seeded_random, simulate_cohort, simulate_session
 from flexglove.stats import CohortTable, sem
 from flexglove.types import SHAPE_BY_NAME, GraspObject, Shape
 from oracles import characterize_by_draw, format_config, format_profile_table
@@ -143,6 +143,28 @@ class TestCharacterizeStream:
         assert len(rows) == 1000
 
 
+def later_user_negative_gain(tmp_path):
+    # A thumb gain_spread of 1.5 lets a sphere gain fall below zero.  At seed
+    # 2020 the first two sphere users draw 0.098 and 1.2, the third -0.44: a
+    # loop that simulated each session as it wrote it had written four files.
+    table = dict(DEFAULT_PROFILE_TABLE)
+    key = ("thumb", Shape.SPHERE)
+    table[key] = table[key]._replace(gain_spread=1.5)
+    path = tmp_path / "wide.table"
+    path.write_text(format_profile_table(table))
+    return ["simulate", "--profile-table", path, "--users-sphere", "3", "--users-cylinder", "2", "--diameters", "6,8"]
+
+
+def overflowing_config(tmp_path):
+    # The converter scaling overflows from the first session on: a loop that
+    # created --out and then simulated each session as it wrote it left --out
+    # empty.  The diameters are out of order, so the first session, whose
+    # voltage the message names, is not the smallest object.
+    config = tmp_path / "huge.cfg"
+    config.write_text("vcc = 1e307\nr_fixed = 1e-3\n")
+    return ["simulate", "--config", config, "--users-sphere", "3", "--users-cylinder", "2", "--diameters", "9.5,6,12"]
+
+
 class TestSimulate:
     def test_writes_cohort_and_manifest(self, small_cohort_dir):
         files = sorted(p.name for p in small_cohort_dir.glob("*.session"))
@@ -253,6 +275,58 @@ class TestSimulate:
         }
         assert {0, 1023} <= counts
         assert run("analyze", sessions, "--out", tmp_path / "a") == 0
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            (later_user_negative_gain, "DomainError: profile gain must be positive, got -0.4405421799583926\n"),
+            (overflowing_config, "DomainError: cannot quantize 9.999999855443434e+306 V on a 1e+307 V scale\n"),
+        ],
+        ids=["negative-gain", "overflow"],
+    )
+    def test_error_is_the_first_failing_sessions(self, tmp_path, failing, message):
+        # Raised by simulate_cohort's own check before --out is created; the
+        # sessions themselves are simulated only as they are written.
+        assert run_quietly(*failing(tmp_path), "--out", tmp_path / "out") == (2, message)
+
+    def test_sessions_are_drawn_in_stream_order(self, tmp_path):
+        # Every profile comes from the master stream first, then one session
+        # seed per (user, object), users in turn.  The diameters are out of
+        # order, so the smallest object, which simulate_cohort checks before
+        # returning, is not the first session.
+        out = tmp_path / "out"
+        diameters = [9.5, 6.0, 12.0]
+        argv = ["--seed", "11", "--users-sphere", "3", "--users-cylinder", "2", "--diameters", "9.5,6,12"]
+        assert run_quietly("simulate", "--out", out, *argv)[0] == 0
+        expected = {}
+        sensor = SensorConfig()
+        for shape, users, prefix, seed in ((Shape.SPHERE, 3, "s", 11), (Shape.CYLINDER, 2, "c", 12)):
+            objects = [GraspObject(shape, d) for d in diameters]
+            sessions = list(simulate_cohort(objects, users, seed, user_prefix=prefix))
+            master = seeded_random(seed)
+            profiles = [make_hand_profile(f"{prefix}{k:02d}", master.getrandbits(32)) for k in range(1, users + 1)]
+            assert sessions == [
+                simulate_session(obj, profile, sensor, master.getrandbits(32)) for profile in profiles for obj in objects
+            ]
+            for session in sessions:
+                name = f"{shape.value}_{session.obj.diameter_cm:g}cm_{session.user_id}.session"
+                expected[name] = format_session(session)
+        assert {p.name: p.read_bytes() for p in out.glob("*.session")} == expected
+
+    @pytest.mark.parametrize("users", [[], ["--users-sphere", "44", "--users-cylinder", "32"]], ids=["default", "76-users"])
+    def test_holds_one_session_at_a_time(self, tmp_path, users):
+        # Each session is simulated as it is written and dropped before the
+        # next.  Traced peak of a warm simulate (Python 3.11), default layout
+        # and 44 + 32 users: 1.88 and 7.51 MB with both cohorts built as lists
+        # first, 0.08 and 0.25 MB one session at a time.  The bound sits between.
+        assert run_quietly("simulate", "--out", tmp_path / "warm", *users)[0] == 0
+        tracemalloc.start()
+        try:
+            assert run_quietly("simulate", "--out", tmp_path / "s", *users)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
 
 class TestAnalyze:
@@ -961,7 +1035,9 @@ class TestProfileTableFuzz:
         code, err = run_quietly("simulate", "--out", work / "sessions", "--profile-table", table, *SMALL_COHORT)
         assert code in (0, 2, 3, 4, 5)
         assert "Traceback" not in err
-        if code == 0:
+        if code != 0:
+            assert not (work / "sessions").exists()
+        else:
             code, err = run_quietly("analyze", work / "sessions", "--out", work / "analysis")
             assert code in (0, 2, 3, 4, 5)
             assert "Traceback" not in err
@@ -1209,7 +1285,10 @@ def snapshot(directory):
 @pytest.mark.parametrize("earlier_run", [False, True])
 @pytest.mark.parametrize(
     "failing, code",
-    [(zero_sphere_users, 2), (bend_below_sensor_minimum, 2), (single_user_cells, 4), (spheres_only, 4)],
+    [
+        (zero_sphere_users, 2), (later_user_negative_gain, 2), (overflowing_config, 2),
+        (bend_below_sensor_minimum, 2), (single_user_cells, 4), (spheres_only, 4),
+    ],
     ids=lambda v: getattr(v, "__name__", v),
 )
 def test_failed_command_leaves_out_as_it_was(tmp_path, failing, code, earlier_run, small_cohort_dir):

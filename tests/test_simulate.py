@@ -135,7 +135,7 @@ class TestNoiseStream:
 
 class TestCohort:
     def test_session_count_and_users(self):
-        sessions = simulate_cohort(default_objects(Shape.SPHERE), 11, 2020, SENSOR, user_prefix="s")
+        sessions = list(simulate_cohort(default_objects(Shape.SPHERE), 11, 2020, SENSOR, user_prefix="s"))
         assert len(sessions) == 11 * 11
         assert len({s.user_id for s in sessions}) == 11
         assert {s.user_id for s in sessions} == {f"s{k:02d}" for k in range(1, 12)}
