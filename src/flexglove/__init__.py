@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .classify import (
     Centroid,
-    DiscriminabilityReport,
     build_centroids,
     classify_session,
     discriminability,

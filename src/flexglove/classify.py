@@ -34,19 +34,13 @@ class DiameterVerdict(NamedTuple):
         return any(not ov for ov in self.overlap_by_finger.values())
 
 
-class DiscriminabilityReport(NamedTuple):
-    verdicts: list[DiameterVerdict]
-    not_comparable: list[tuple[Shape, float]]
-
-
-def discriminability(table: CohortTable) -> DiscriminabilityReport:
-    """Compare sphere against cylinder at every diameter present for both."""
+def discriminability(table: CohortTable) -> list[DiameterVerdict]:
+    """Compare sphere against cylinder at every diameter present for both,
+    in ascending order; a diameter of one shape only gets no verdict."""
     shapes = table.shapes()
     if Shape.SPHERE not in shapes or Shape.CYLINDER not in shapes:
         raise PreconditionViolation("need both shapes in the cohort table")
-    sphere_d = set(table.diameters(Shape.SPHERE))
-    cylinder_d = set(table.diameters(Shape.CYLINDER))
-    common = sorted(sphere_d & cylinder_d)
+    common = sorted(set(table.diameters(Shape.SPHERE)) & set(table.diameters(Shape.CYLINDER)))
     if not common:
         raise PreconditionViolation("the two shapes share no diameter")
 
@@ -60,11 +54,7 @@ def discriminability(table: CohortTable) -> DiscriminabilityReport:
             for finger in FINGERS
         }
         verdicts.append(DiameterVerdict(diameter_cm=d, overlap_by_finger=overlap))
-    not_comparable = sorted(
-        [(Shape.SPHERE, d) for d in sphere_d - cylinder_d]
-        + [(Shape.CYLINDER, d) for d in cylinder_d - sphere_d]
-    )
-    return DiscriminabilityReport(verdicts=verdicts, not_comparable=not_comparable)
+    return verdicts
 
 
 def build_centroids(table: CohortTable) -> list[Centroid]:

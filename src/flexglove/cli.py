@@ -93,7 +93,7 @@ def _write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
     _write_manifest(out, args, list(texts))
 
 
-def cmd_characterize(args: argparse.Namespace) -> int:
+def cmd_characterize(args: argparse.Namespace) -> None:
     rng = seeded_random(args.seed)
     sensor = _sensor_from_args(args)
     diameters = range(SWEEP_START_CM, SWEEP_END_CM - 1, -1)
@@ -117,7 +117,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         "sweep.csv": _csv(["diameter_cm", "adc_mean", "adc_sem", "n_trials"], sweep_rows),
         "stability.csv": _csv(["sample_index", "adc"], stability_rows),
     })
-    return 0
 
 
 def _same_spelling(diameters: list[float]) -> tuple[int, int] | None:
@@ -146,7 +145,7 @@ def _parse_diameters(text: str) -> list[float]:
     return diameters
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> None:
     sensor = _sensor_from_args(args)
     table = (
         None if args.profile_table is None else parse_profile_table(read_ascii(args.profile_table, "profile table"))
@@ -174,7 +173,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             names.append(name)
     _write_manifest(out, args, sorted(names))
     print(f"wrote {len(names)} session files to {out}")
-    return 0
 
 
 def _read_sessions(session_dir: Path, names: list[str]) -> Iterator[GraspSession]:
@@ -190,7 +188,7 @@ def _read_sessions(session_dir: Path, names: list[str]) -> Iterator[GraspSession
             raise
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     check_expected_frames(args.expected_frames)
     if not args.sessions:
         raise ArgumentError("the sessions argument names no directory")
@@ -223,14 +221,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         [shape.value, finger, name, _fmt(fit.slope), _fmt(fit.intercept), _fmt(fit.r2), str(n)]
         for shape, finger, name, fit, n in cohort_fits(table)
     ]
-    report = discriminability(table)
-    disc_rows = []
-    for verdict in report.verdicts:
-        disc_rows.append(
-            [f"{verdict.diameter_cm:g}"]
-            + [str(verdict.overlap_by_finger[f]).lower() for f in FINGERS]
-            + [str(verdict.discriminable).lower()]
-        )
+    disc_rows = [
+        [f"{v.diameter_cm:g}", *(str(v.overlap_by_finger[f]).lower() for f in FINGERS), str(v.discriminable).lower()]
+        for v in discriminability(table)
+    ]
 
     _write_outputs(args, {
         "cohort.csv": _csv(["shape", "diameter_cm", "finger", "mean", "sem", "n"], cohort_rows),
@@ -242,10 +236,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ),
         "centroids.csv": centroids_to_csv(centroids, table.raw_scale),
     })
-    return 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> None:
     check_expected_frames(args.expected_frames)
     session = read_session_file(args.session)
     centroids, context = centroids_from_csv(read_ascii(args.centroids, "centroid file"))
@@ -253,7 +246,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         session, centroids, context, expected_frames=args.expected_frames
     )
     print(f"shape={shape.value} diameter_cm={diameter:g} distance={distance:.6f}")
-    return 0
 
 
 @functools.cache
@@ -263,17 +255,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         prog="flexglove", description="flex-sensor glove simulator and analysis pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
-    p = commands["characterize"] = sub.add_parser(
-        "characterize", help="single-sensor ring sweep and stability stream"
-    )
+    p = sub.add_parser("characterize", help="single-sensor ring sweep and stability stream")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--config", help="sensor config file (key = value text)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_characterize)
 
-    p = commands["simulate"] = sub.add_parser("simulate", help="write a simulated cohort of session files")
+    p = sub.add_parser("simulate", help="write a simulated cohort of session files")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--config", help="sensor config file")
     p.add_argument("--out", required=True)
@@ -283,19 +272,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--profile-table", help="hand profile table file")
     p.set_defaults(func=cmd_simulate)
 
-    p = commands["analyze"] = sub.add_parser("analyze", help="summarize a directory of session files")
+    p = sub.add_parser("analyze", help="summarize a directory of session files")
     p.add_argument("sessions", help="directory of .session files")
     p.add_argument("--out", required=True)
     p.add_argument("--expected-frames", type=int, default=DEFAULT_FRAME_COUNT)
     p.set_defaults(func=cmd_analyze)
 
-    p = commands["classify"] = sub.add_parser("classify", help="classify one session against saved centroids")
+    p = sub.add_parser("classify", help="classify one session against saved centroids")
     p.add_argument("session", help="session file")
     p.add_argument("centroids", help="centroid CSV from analyze")
     p.add_argument("--expected-frames", type=int, default=DEFAULT_FRAME_COUNT)
     p.set_defaults(func=cmd_classify)
 
-    return parser, commands
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -310,13 +299,14 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
-        return args.func(args)
+        args.func(args)
     except GloveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"IoError: {exc}", file=sys.stderr)
         return 5
+    return 0
 
 
 if __name__ == "__main__":

@@ -305,9 +305,9 @@ def default_hand_profile(user_id="default"):
     )
 
 
-def verdict_at(report, diameter_cm):
-    """The verdict of ``report`` at one diameter."""
-    for v in report.verdicts:
+def verdict_at(verdicts, diameter_cm):
+    """The verdict of ``verdicts`` at one diameter."""
+    for v in verdicts:
         if v.diameter_cm == diameter_cm:
             return v
     raise KeyError(diameter_cm)

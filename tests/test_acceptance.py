@@ -192,11 +192,11 @@ class TestCriterion8DefaultCohortPatterns:
         note("8d", "pinky normalized mean exactly 1.0 at 6 cm for both shapes")
 
     def test_8e_discriminability_with_at_most_one_exception(self, default_table):
-        report = discriminability(default_table)
-        misses = [v.diameter_cm for v in report.verdicts if not v.discriminable]
-        assert len(report.verdicts) == 10  # 6..16 minus the missing 10 cm cylinder
+        verdicts = discriminability(default_table)
+        misses = [v.diameter_cm for v in verdicts if not v.discriminable]
+        assert len(verdicts) == 10  # 6..16 minus the missing 10 cm cylinder
         assert len(misses) <= 1, f"non-discriminable at {misses}"
-        note("8e", f"separable at {len(report.verdicts) - len(misses)}/10 common diameters"
+        note("8e", f"separable at {len(verdicts) - len(misses)}/10 common diameters"
              f" (exceptions: {misses or 'none'})")
 
 

@@ -32,8 +32,7 @@ class TestDiscriminability:
         cells.update(uniform_cells(Shape.CYLINDER, 8.0, (0.5, 0.5)))
         cells[(Shape.SPHERE, 8.0, "pinky")] = (0.19, 0.21)
         cells[(Shape.CYLINDER, 8.0, "pinky")] = (0.79, 0.81)
-        report = discriminability(table_from_cells(cells))
-        verdict = verdict_at(report, 8.0)
+        verdict = verdict_at(discriminability(table_from_cells(cells)), 8.0)
         assert not verdict.overlap_by_finger["pinky"]
         assert verdict.discriminable
 
@@ -41,15 +40,13 @@ class TestDiscriminability:
         cells = {}
         cells.update(uniform_cells(Shape.SPHERE, 8.0, (0.4, 0.6)))
         cells.update(uniform_cells(Shape.CYLINDER, 8.0, (0.4, 0.6)))
-        report = discriminability(table_from_cells(cells))
-        assert not verdict_at(report, 8.0).discriminable
+        assert not verdict_at(discriminability(table_from_cells(cells)), 8.0).discriminable
 
     def test_overall_verdict_is_or_over_fingers(self):
         cells = {}
         cells.update(uniform_cells(Shape.SPHERE, 8.0, (0.5, 0.5)))
         cells.update(uniform_cells(Shape.CYLINDER, 8.0, (0.5, 0.5)))
-        report = discriminability(table_from_cells(cells))
-        verdict = verdict_at(report, 8.0)
+        verdict = verdict_at(discriminability(table_from_cells(cells)), 8.0)
         assert verdict.discriminable == any(
             not verdict.overlap_by_finger[f] for f in FINGERS
         )
@@ -66,16 +63,17 @@ class TestDiscriminability:
         cells.update(uniform_cells(Shape.SPHERE, 8.0, (0.5, 0.5)))
         cells.update(uniform_cells(Shape.CYLINDER, 8.0, (0.5, 0.5)))
         cells.update(uniform_cells(Shape.SPHERE, 9.0, (0.5, 0.5)))
-        report = discriminability(table_from_cells(cells))
-        assert report.not_comparable == [(Shape.SPHERE, 9.0)]
+        verdicts = discriminability(table_from_cells(cells))
+        assert [v.diameter_cm for v in verdicts] == [8.0]
 
     def test_missing_shape_rejected(self):
         with pytest.raises(PreconditionViolation):
             discriminability(table_from_cells(uniform_cells(Shape.SPHERE, 8.0, (0.5, 0.5))))
 
     def test_default_cohort_flags_lone_10cm_sphere(self, default_table):
-        report = discriminability(default_table)
-        assert report.not_comparable == [(Shape.SPHERE, 10.0)]
+        assert 10.0 in default_table.diameters(Shape.SPHERE)
+        assert 10.0 not in default_table.diameters(Shape.CYLINDER)
+        assert 10.0 not in [v.diameter_cm for v in discriminability(default_table)]
 
 
 class TestCentroids:

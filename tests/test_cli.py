@@ -87,6 +87,14 @@ class TestCharacterize:
         assert "ArgumentError: config line 1: vcc must be finite" in err
         assert "Traceback" not in err
 
+    def test_knee_near_tightest_bend_is_argument_error(self, tmp_path):
+        config = tmp_path / "knee.cfg"
+        config.write_text("d_knee = 5.5\n")
+        out = tmp_path / "c"
+        message = "ArgumentError: d_knee must sit more than 1.0 cm above d_tightest\n"
+        assert run_quietly("characterize", "--out", out, "--config", config) == (2, message)
+        assert not out.exists()
+
     def test_non_ascii_config_is_argument_error(self, tmp_path, capsys):
         config = tmp_path / "latin.cfg"
         config.write_bytes(b"vcc = 5\xe9\n")
@@ -184,6 +192,12 @@ class TestSimulate:
     def test_non_finite_diameter_is_argument_error(self, tmp_path):
         # A file with `# diameter_cm=inf` would be rejected by its own reader.
         assert run("simulate", "--out", tmp_path / "x", "--diameters", "6,inf") == 2
+
+    def test_unparsable_diameter_is_argument_error(self, tmp_path):
+        out = tmp_path / "x"
+        message = "ArgumentError: bad --diameters value '6,abc'\n"
+        assert run_quietly("simulate", "--out", out, "--diameters", "6,abc") == (2, message)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "diameters, first, second", [("6,6,8", "6", "6"), ("6.0000001,6.0000002,8", "6.0000001", "6.0000002")]

@@ -43,4 +43,4 @@ def test_library_block_runs_as_written():
     exec(block, namespace)
     # 11 sphere and 10 cylinder diameters, each a centroid; 10 shared.
     assert len(namespace["centroids"]) == 21
-    assert len(namespace["report"].verdicts) == 10
+    assert len(namespace["verdicts"]) == 10

@@ -16,7 +16,6 @@ from oracles import default_hand_profile
 
 
 def test_no_record_has_an_instance_dict(default_table, default_cohort):
-    report = discriminability(default_table)
     records = [
         GraspObject(Shape.SPHERE, 6.0),
         default_cohort[0],
@@ -24,8 +23,7 @@ def test_no_record_has_an_instance_dict(default_table, default_cohort):
         SensorConfig(),
         default_table.stats(default_table.cells()[0]),
         linear_fit([(0.0, 0.0), (1.0, 1.0)]),
-        report,
-        report.verdicts[0],
+        discriminability(default_table)[0],
         default_hand_profile(),
         build_centroids(default_table)[0],
         next(iter(DEFAULT_PROFILE_TABLE.values())),

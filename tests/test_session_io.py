@@ -260,6 +260,11 @@ class TestColumns:
         session = make_session()
         assert session.frames == [(0, 10, 20, 30, 40, 50), (50, 11, 20, 30, 40, 50), (100, 12, 20, 30, 40, 50)]
 
+    def test_padded_user_id_is_not_written(self):
+        with pytest.raises(MalformedHeader) as exc:
+            format_session(make_session(user=" s01"))
+        assert str(exc.value) == "unusable user id ' s01'"
+
     @pytest.mark.parametrize("finger", range(5))
     def test_short_column_is_not_written(self, finger):
         counts = list(make_session().counts)

@@ -79,6 +79,11 @@ class TestSession:
         assert len(session.frames) == 100
         assert [f[0] for f in session.frames] == list(range(0, 5000, 50))
 
+    def test_negative_frame_count_rejected(self):
+        with pytest.raises(ArgumentError) as exc:
+            simulate_session(GraspObject(Shape.SPHERE, 8.0), default_hand_profile(), SENSOR, seed=5, n_frames=-1)
+        assert str(exc.value) == "need n_frames >= 0"
+
     def test_zero_noise_makes_constant_frames(self):
         session = simulate_session(
             GraspObject(Shape.CYLINDER, 9.0), default_hand_profile(), QUIET, seed=5

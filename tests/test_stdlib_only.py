@@ -18,6 +18,12 @@ UNCALLED_ALLOWED = {
     "build_cohort normalizes finger columns with the _normalized it wraps",
 }
 
+# Record fields that no attribute read in src/ or bench/ names, one reason each.
+UNREAD_FIELDS_ALLOWED = {
+    field: "resistance_at_diameter reads it by unpacking the curve"
+    for field in ("CalibrationCurve.r_flat", "CalibrationCurve.r_min_diam", "CalibrationCurve.d_knee")
+}
+
 
 def imported_modules(tree: ast.AST) -> list[str]:
     """Top-level names of every absolute import in ``tree``."""
@@ -138,6 +144,51 @@ def test_guard_flags_an_uncalled_definition():
     )
     caller = ast.parse("import m\nprint(m.Box().size())\nsetattr(m, 'patched', print)\n")
     assert uncalled({"m": module}, {"m": module, "c": caller}) == ["SPARE", "walk", "spare"]
+
+
+def record_fields(tree: ast.AST) -> list[str]:
+    """"Record.field" for each field of each named tuple ``tree`` defines, as
+    a typing.NamedTuple class or a subclass of a collections.namedtuple call."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for base in node.bases:
+            if isinstance(base, ast.Name) and base.id == "NamedTuple":
+                names = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+            elif isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+                names = base.args[1].value.replace(",", " ").split()
+            else:
+                continue
+            found.extend(f"{node.name}.{name}" for name in names)
+    return found
+
+
+def unread_fields(defining: list[ast.AST], reading: list[ast.AST]) -> list[str]:
+    """Fields of the records of ``defining`` that no attribute read in
+    ``reading`` names.  A read matches by name alone, whatever it reads."""
+    read = {
+        node.attr for tree in reading for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [field for tree in defining for field in record_fields(tree) if field.split(".")[1] not in read]
+
+
+def test_every_record_field_is_read():
+    parsed = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SOURCES + BENCH}
+    defining = [tree for p, tree in parsed.items() if p in SOURCES]
+    assert sorted(unread_fields(defining, parsed.values())) == sorted(UNREAD_FIELDS_ALLOWED)
+
+
+def test_guard_flags_an_unread_field():
+    module = ast.parse(
+        "from collections import namedtuple\nfrom typing import NamedTuple\n\n"
+        "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
+        "class Span(namedtuple('Span', 'lo hi')):\n    pass\n\n"
+        "class Plain:\n    size: int\n"
+    )
+    caller = ast.parse("pair = Pair(left=1, right=2)\nprint(pair.left, Span(0, 1).hi)\npair.right = 3\n")
+    assert unread_fields([module], [module, caller]) == ["Pair.right", "Span.lo"]
 
 
 def random_constructions(tree: ast.AST) -> list[str]:
