@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from typing import NamedTuple
 
 from .errors import ArgumentError, PreconditionViolation, content_lines, finite_floats
@@ -129,8 +129,19 @@ _CENTROID_HEADER = ["kind", "shape", "diameter_cm", *FINGERS]
 
 
 def centroids_to_csv(centroids: list[Centroid], context: ScaleContext) -> str:
+    """The centroid file of ``centroids`` and their raw scale ``context``.
+    Two diameters of one shape that {:g} spells alike would write two rows
+    that centroids_from_csv rejects as repeated, so they raise.  {:g}
+    rounding keeps order, so such a pair is adjacent once sorted."""
+    ordered = sorted(centroids, key=lambda c: (c.shape, c.diameter_cm))
+    for a, b in pairwise(ordered):
+        if a.shape is b.shape and f"{a.diameter_cm:g}" == f"{b.diameter_cm:g}":
+            raise ArgumentError(
+                f"{b.shape.value} sessions at {a.diameter_cm!r} cm and {b.diameter_cm!r} cm "
+                f"both write as {b.diameter_cm:g} cm"
+            )
     rows = [_CENTROID_HEADER]
-    for c in sorted(centroids, key=lambda c: (c.shape, c.diameter_cm)):
+    for c in ordered:
         rows.append(
             ["centroid", c.shape.value, f"{c.diameter_cm:g}"] + [f"{v:.6f}" for v in c.vector]
         )

@@ -57,7 +57,6 @@ import sys
 from typing import NoReturn
 
 from .errors import (
-    ArgumentError,
     MalformedFrame,
     MalformedHeader,
     OrderViolation,
@@ -245,16 +244,7 @@ def format_session(session: GraspSession) -> bytes:
     values = (SCHEMA_VERSION, _validate_user_id(session.user_id), session.obj.shape.value,
               session.obj.diameter_cm, session.sample_period_ms)
     parts = [f"# {key}={value}\n" for key, value in zip(_HEADER_KEYS, values)]
-    try:
-        rows = zip(session.stamps, *session.counts, strict=True)
-        parts.extend(map("%s,%s,%s,%s,%s,%s\n".__mod__, rows))
-    except ValueError:
-        # zip's when the columns differ in length, or str()'s for an int
-        # past its digit limit.
-        lengths = [len(session.stamps), *map(len, session.counts)]
-        if min(lengths) == max(lengths):
-            raise
-        raise ArgumentError(f"session columns differ in length: {lengths} (stamps, then counts)") from None
+    parts.extend(map("%s,%s,%s,%s,%s,%s\n".__mod__, zip(session.stamps, *session.counts)))
     return "".join(parts).encode("ascii")
 
 

@@ -93,15 +93,8 @@ def session_means(session: GraspSession, expected_frames: int = DEFAULT_FRAME_CO
             f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
             f"has {n} frames, expected {expected_frames}"
         )
-    counts = session.counts
-    lengths = list(map(len, counts))
-    if lengths.count(n) != len(FINGERS):
-        raise ArgumentError(
-            f"session {session.user_id}/{session.obj.shape.value}/{session.obj.diameter_cm} "
-            f"has {n} stamps but count columns of lengths {lengths}"
-        )
     # sum/len of an int column is the float math.fsum(c) / len(c) gives, in less time.
-    return tuple([sum(c) / n for c in counts])
+    return tuple([sum(c) / n for c in session.counts])
 
 
 def _normalized(column: Sequence[float]) -> tuple[list[float], float, float]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import ArgumentError
 
@@ -46,28 +45,34 @@ class GraspObject(namedtuple("GraspObject", "shape diameter_cm")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class GraspSession(NamedTuple):
+class GraspSession(namedtuple("GraspSession", "user_id obj stamps counts sample_period_ms")):
     """A recorded grasp: a user, an object, and its frames held as columns.
 
     ``stamps`` is the list of frame timestamps in ms.  ``counts`` is a tuple
     of five lists of ADC counts, one per finger in FINGERS order, each as
-    long as ``stamps``.  The reader and the simulator build exactly these
-    types, so a session read back from its file compares equal to the one
-    written.  Build a changed session with ``_replace(stamps=..., counts=...)``.
+    long as ``stamps``; construction, and so ``_replace``, checks that.  The
+    reader and the simulator build exactly these types, so a session read
+    back from its file compares equal to the one written.  Build a changed
+    session with ``_replace(stamps=..., counts=...)``.
     """
 
-    user_id: str
-    obj: GraspObject
-    stamps: list[int]
-    counts: tuple[list[int], ...]
-    sample_period_ms: int = DEFAULT_PERIOD_MS
+    __slots__ = ()
+
+    def __new__(cls, user_id: str, obj: GraspObject, stamps: list[int],
+                counts: tuple[list[int], ...], sample_period_ms: int = DEFAULT_PERIOD_MS):
+        if [*map(len, counts)] != [len(stamps)] * len(FINGERS):
+            lengths = [len(stamps), *map(len, counts)]
+            raise ArgumentError(f"session columns differ in length: {lengths} (stamps, then counts)")
+        return tuple.__new__(cls, (user_id, obj, stamps, counts, sample_period_ms))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def frames(self) -> list[tuple[int, ...]]:
         """The frames as rows, (t_ms, thumb, index, middle, ring, pinky):
         built anew on each access, for tests and tools.  The pipeline reads
         the columns."""
-        return list(zip(self.stamps, *self.counts, strict=True))
+        return list(zip(self.stamps, *self.counts))
 
 
 def default_objects(shape: Shape) -> list[GraspObject]:

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from flexglove import (
+    ArgumentError,
     GraspObject,
     PreconditionViolation,
     Shape,
@@ -189,6 +191,18 @@ class TestClassifySession:
             classify_session(query_session((32,) * 5), centroids, simple_context(10.0, 10.0))
 
 
+# Diameters that {:g}, six significant digits, often spells alike: a few
+# bases, each nudged by less than, about, or more than its last printed digit.
+near_duplicate_diameters = st.one_of(
+    st.builds(
+        float.__add__,
+        st.sampled_from([6.0, 12.3456781, 12.3456789, 0.001, 1e6]),
+        st.sampled_from([0.0, 1e-7, 1e-6, 1e-5, 1e-4, 0.5]),
+    ),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+
+
 class TestCentroidCsv:
     def test_roundtrip(self, default_table):
         centroids = build_centroids(default_table)
@@ -203,17 +217,34 @@ class TestCentroidCsv:
             assert a.vector == pytest.approx(b.vector, abs=5e-7)
 
     def test_rejects_noise(self):
-        from flexglove import ArgumentError
-
         with pytest.raises(ArgumentError):
             centroids_from_csv("not,a,real,header\n")
 
     @pytest.mark.parametrize("diameter", ["-6", "0", "-0.0"])
     def test_non_positive_diameter_rejected(self, diameter):
-        from flexglove import ArgumentError
-
         text = centroids_to_csv([Centroid(Shape.SPHERE, 6.0, (0.5,) * 5)], simple_context())
         assert text.split("\n")[1].startswith("centroid,sphere,6,")
         with pytest.raises(ArgumentError) as exc:
             centroids_from_csv(text.replace("centroid,sphere,6,", f"centroid,sphere,{diameter},"))
         assert str(exc.value) == f"centroid file line 2: diameter_cm must be positive, got '{diameter}'"
+
+    @given(st.lists(st.tuples(st.sampled_from(Shape), near_duplicate_diameters), min_size=1, max_size=8))
+    @example([(Shape.SPHERE, 12.3456789), (Shape.SPHERE, 12.34567891)])  # both wrote as 12.3457
+    @example([(Shape.CYLINDER, 6.0), (Shape.SPHERE, 6.0000001)])  # one spelling, two shapes
+    def test_writes_only_what_it_reads_back(self, keys):
+        """Two diameters of one shape that print alike raise; any other set
+        of centroids reads back with the same (shape, spelling) keys."""
+        centroids = [Centroid(shape, d, (0.5,) * 5) for shape, d in keys]
+        spellings = [(shape, f"{d:g}") for shape, d in keys]
+        repeated = {key for key in spellings if spellings.count(key) > 1}
+        if repeated:
+            with pytest.raises(ArgumentError) as exc:
+                centroids_to_csv(centroids, simple_context())
+            assert any(
+                str(exc.value).startswith(f"{shape.value} sessions at ")
+                and str(exc.value).endswith(f" both write as {spelling} cm")
+                for shape, spelling in repeated
+            )
+        else:
+            parsed, _ = centroids_from_csv(centroids_to_csv(centroids, simple_context()))
+            assert sorted((c.shape, f"{c.diameter_cm:g}") for c in parsed) == sorted(spellings)

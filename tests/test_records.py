@@ -11,8 +11,11 @@ from flexglove import (
     discriminability,
     linear_fit,
 )
-from flexglove.types import GraspObject, Shape
+from flexglove.types import GraspObject, GraspSession, Shape
 from oracles import default_hand_profile
+
+# A sound two-frame session: user, object, stamps, five count columns, period.
+SESSION_FIELDS = ("u01", GraspObject(Shape.SPHERE, 8.0), [0, 50], ([7, 8],) * 5, 50)
 
 
 def test_no_record_has_an_instance_dict(default_table, default_cohort):
@@ -38,8 +41,23 @@ def test_no_record_has_an_instance_dict(default_table, default_cohort):
         (lambda: SensorConfig()._replace(vcc=-1), lambda: SensorConfig(vcc=-1)),
         (lambda: CalibrationCurve()._replace(d_knee=1.0), lambda: CalibrationCurve(d_knee=1.0)),
         (lambda: GraspObject._make((Shape.SPHERE, -1.0)), lambda: GraspObject(Shape.SPHERE, -1.0)),
+        (
+            lambda: GraspSession(*SESSION_FIELDS)._replace(counts=([7, 8],) * 4 + ([9],)),
+            lambda: GraspSession(*SESSION_FIELDS[:3], ([7, 8],) * 4 + ([9],)),
+        ),
+        (
+            lambda: GraspSession._make((*SESSION_FIELDS[:3], ([7, 8],) * 4)),
+            lambda: GraspSession(*SESSION_FIELDS[:3], ([7, 8],) * 4),
+        ),
+        (
+            lambda: GraspSession._make((*SESSION_FIELDS[:3], ([7, 8],) * 6)),
+            lambda: GraspSession(*SESSION_FIELDS[:3], ([7, 8],) * 6),
+        ),
     ],
-    ids=["SensorConfig._replace", "CalibrationCurve._replace", "GraspObject._make"],
+    ids=[
+        "SensorConfig._replace", "CalibrationCurve._replace", "GraspObject._make",
+        "GraspSession._replace-short-column", "GraspSession._make-4-columns", "GraspSession._make-6-columns",
+    ],
 )
 def test_replace_and_make_run_the_constructor_checks(rebuild, build):
     with pytest.raises(ArgumentError) as direct:

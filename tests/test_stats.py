@@ -75,11 +75,12 @@ class TestSessionMean:
         session = constant_session(512)
         counts = list(session.counts)
         counts[finger] = counts[finger][:-1]
-        lengths = [100] * 5
-        lengths[finger] = 99
+        lengths = [100] * 6
+        lengths[finger + 1] = 99
+        # The session itself refuses the short column, so session_means never sees one.
         with pytest.raises(ArgumentError) as exc:
-            session_means(session._replace(counts=tuple(counts)))
-        assert str(exc.value) == f"session u01/sphere/8.0 has 100 stamps but count columns of lengths {lengths}"
+            session._replace(counts=tuple(counts))
+        assert str(exc.value) == f"session columns differ in length: {lengths} (stamps, then counts)"
 
 
 class TestMinMaxNormalize:

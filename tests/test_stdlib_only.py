@@ -1,7 +1,9 @@
 """The runtime imports nothing outside the standard library and the package."""
 import ast
+import io
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -270,3 +272,53 @@ def test_guard_flags_a_frames_read():
         "def frames(self):\n    return self.stamps\n"
     )
     assert attribute_reads(tree, "frames") == [1, 2]
+
+
+# Tokens that hold no code of their own: a comment, a line end, and the
+# zero-width markers of indentation and of the file's ends.
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path: Path) -> int:
+    """Lines of the Python file ``path`` that hold a token other than a
+    comment or a newline, module, class and function docstrings left out:
+    the line count ROADMAP.md reports.  A token spanning lines counts on
+    each of them."""
+    text = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_of_the_package():
+    """The count ROADMAP.md reports for src/flexglove, shown with -s.  It
+    sets no bound."""
+    counts = {path.name: code_lines(path) for path in SOURCES}
+    print(f"\ncode lines in src/flexglove: {sum(counts.values())} {counts}")
+    assert all(n > 0 for n in counts.values())
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        '"""Module\ndocstring."""\n'
+        "# a comment\n\n"
+        "PATTERN = (  # one statement over two lines\n"
+        "    'a')\n"
+        'NOTE = """a string\nover two lines"""\n\n'
+        "class Box:\n"
+        "    '''One line.'''\n\n"
+        "    def size(self):\n"
+        '        """Two\n        lines."""\n'
+        "        return 1  # a comment after code\n",
+        encoding="utf-8",
+    )
+    assert code_lines(module) == 7
