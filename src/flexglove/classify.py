@@ -9,25 +9,24 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from itertools import chain, pairwise, repeat
-from typing import NamedTuple
 
 from .errors import ArgumentError, PreconditionViolation, content_lines, finite_floats
 from .stats import CohortTable, ScaleContext, intervals_overlap, session_means
 from .types import DEFAULT_FRAME_COUNT, FINGERS, SHAPE_BY_NAME, GraspSession, Shape
 
 
-class Centroid(NamedTuple):
-    shape: Shape
-    diameter_cm: float
-    vector: tuple[float, float, float, float, float]
+# One (shape, diameter): vector is its five normalized finger means in
+# FINGERS order.
+Centroid = namedtuple("Centroid", "shape diameter_cm vector")
 
 
-class DiameterVerdict(NamedTuple):
-    """Interval-overlap outcome for one common diameter."""
+class DiameterVerdict(namedtuple("DiameterVerdict", "diameter_cm overlap_by_finger")):
+    """Interval-overlap outcome for one common diameter: each finger's name
+    mapped to whether its two intervals overlap."""
 
-    diameter_cm: float
-    overlap_by_finger: dict[str, bool]
+    __slots__ = ()
 
     @property
     def discriminable(self) -> bool:

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from pathlib import Path
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import __version__
 from .classify import build_centroids, centroids_from_csv, centroids_to_csv, classify_session, discriminability
@@ -55,7 +53,14 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[str]) -> None:
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
+
+
+def _write_manifest(out_dir: str, args: argparse.Namespace, outputs: list[str]) -> None:
+    import json  # Only the manifest needs it, so classify never loads it.
+
     manifest = {
         "tool": "flexglove",
         "version": __version__,
@@ -65,23 +70,21 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[str])
         },
         "outputs": outputs,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out_dir / "manifest.json").write_text(text, encoding="ascii")
+    _write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _sensor_from_args(args: argparse.Namespace) -> SensorConfig:
     return SensorConfig() if args.config is None else parse_config(read_ascii(args.config, "config file"))
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """Create --out.  Each command calls this only once every output is
-    computed, so a command that fails leaves --out as it was.  An empty
-    --out would be the working directory, so it is an error."""
+def _out_dir(args: argparse.Namespace) -> str:
+    """Create --out and return it as typed.  Each command calls this only
+    once every output is computed, so a command that fails leaves --out as it
+    was.  An empty --out would be the working directory, so it is an error."""
     if not args.out:
         raise ArgumentError("--out names no directory")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
@@ -89,7 +92,7 @@ def _write_outputs(args: argparse.Namespace, texts: dict[str, str]) -> None:
     listing those names in order."""
     out = _out_dir(args)
     for name, text in texts.items():
-        (out / name).write_text(text, encoding="ascii", newline="")
+        _write_text(os.path.join(out, name), text)
     _write_manifest(out, args, list(texts))
 
 
@@ -160,13 +163,13 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             name = (
                 f"{session.obj.shape.value}_{session.obj.diameter_cm:g}cm_{session.user_id}.session"
             )
-            write_session_file(session, out / name)
+            write_session_file(session, os.path.join(out, name))
             names.append(name)
     _write_manifest(out, args, sorted(names))
     print(f"wrote {len(names)} session files to {out}")
 
 
-def _read_sessions(session_dir: Path, names: list[str]) -> Iterator[GraspSession]:
+def _read_sessions(session_dir: str, names: list[str]) -> Iterator[GraspSession]:
     """Each named session file of ``session_dir`` in turn, read as it is
     asked for, so that build_cohort holds one session at a time.  A
     ParseError names the file."""
@@ -183,16 +186,15 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     check_expected_frames(args.expected_frames)
     if not args.sessions:
         raise ArgumentError("the sessions argument names no directory")
-    session_dir = Path(args.sessions)
-    # One listing and plain strings: a Path per entry costs more than the
-    # listing itself.  A missing path or a non-directory holds no sessions.
+    # One listing of plain strings.  A missing path or a non-directory holds
+    # no sessions.
     try:
-        names = sorted(name for name in os.listdir(session_dir) if name.endswith(".session"))
+        names = sorted(name for name in os.listdir(args.sessions) if name.endswith(".session"))
     except (FileNotFoundError, NotADirectoryError):
         names = []
     if not names:
-        raise ArgumentError(f"no .session files in {session_dir}")
-    table = build_cohort(_read_sessions(session_dir, names), expected_frames=args.expected_frames)
+        raise ArgumentError(f"no .session files in {args.sessions}")
+    table = build_cohort(_read_sessions(args.sessions, names), expected_frames=args.expected_frames)
     centroids_csv = centroids_to_csv(build_centroids(table), table.raw_scale)
     cohort_rows = [
         [shape.value, f"{d:g}", finger, _fmt(st.mean), _fmt(st.sem), str(st.n)]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 
 class GloveError(Exception):

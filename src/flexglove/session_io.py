@@ -54,7 +54,6 @@ import math
 import operator
 import re
 import sys
-from typing import NoReturn
 
 from .errors import (
     MalformedFrame,
@@ -118,7 +117,7 @@ def parse_frame(line: str, line_no: int | None = None) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _raise_header_fault(text: str) -> NoReturn:
+def _raise_header_fault(text: str):
     """Raise the first fault, with its line number, of a header that _HEADER
     does not match."""
     n_header = len(_HEADER_KEYS)

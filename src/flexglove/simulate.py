@@ -15,7 +15,8 @@ caller fails before it has written anything.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .errors import ArgumentError, DomainError, content_lines, finite_floats
 from .sensor import SensorConfig, clean_adc_at_diameter, noise_draws, sample_with_noise
@@ -25,18 +26,11 @@ DEFAULT_SPHERE_USERS = 11
 DEFAULT_CYLINDER_USERS = 8
 
 
-class FingerProfile(NamedTuple):
-    """Default affine bend mapping for one (finger, shape) plus jitter bounds.
-
-    effective_diameter = gain * object_diameter + offset_cm, with per-user
-    gain drawn uniformly in gain*(1 +- gain_spread) and offset uniformly in
-    offset_cm +- offset_spread_cm.
-    """
-
-    gain: float
-    offset_cm: float
-    gain_spread: float
-    offset_spread_cm: float
+# Default affine bend mapping for one (finger, shape) plus jitter bounds:
+# effective_diameter = gain * object_diameter + offset_cm, with per-user gain
+# drawn uniformly in gain*(1 +- gain_spread) and offset uniformly in
+# offset_cm +- offset_spread_cm.  A profile table row lists the fields in order.
+FingerProfile = namedtuple("FingerProfile", "gain offset_cm gain_spread offset_spread_cm")
 
 
 # Tuned default table.  The numbers are calibrated once against the acceptance
@@ -57,11 +51,8 @@ DEFAULT_PROFILE_TABLE: dict[tuple[str, Shape], FingerProfile] = {
 }
 
 
-class HandProfile(NamedTuple):
-    """One user's concrete bend mapping: (finger, shape) -> (gain, offset)."""
-
-    user_id: str
-    mapping: dict[tuple[str, Shape], tuple[float, float]]
+# One user's concrete bend mapping: (finger, shape) -> (gain, offset).
+HandProfile = namedtuple("HandProfile", "user_id mapping")
 
 
 def seeded_random(seed: int) -> random.Random:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import defaultdict
+from collections import defaultdict, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import filterfalse
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ArgumentError, DegenerateRange, PreconditionViolation
 from .types import DEFAULT_FRAME_COUNT, FINGERS, GraspSession, Shape
@@ -32,18 +32,10 @@ _FINGER_RANK = {finger: i for i, finger in enumerate(FINGERS)}
 SUBRANGE_ABOVE_CM = 10.0
 
 
-class FingerStats(NamedTuple):
-    """Cohort summary of one (shape, diameter, finger) cell."""
+# Cohort summary of one (shape, diameter, finger) cell.
+FingerStats = namedtuple("FingerStats", "mean sem n")
 
-    mean: float
-    sem: float
-    n: int
-
-
-class RegressionFit(NamedTuple):
-    slope: float
-    intercept: float
-    r2: float
+RegressionFit = namedtuple("RegressionFit", "slope intercept r2")
 
 
 class CohortTable:

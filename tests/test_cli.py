@@ -1329,3 +1329,17 @@ def test_manifest_lists_what_was_written(tmp_path, command, small_cohort_dir):
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert len(outputs) == len(set(outputs))
     assert set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+
+def test_messages_echo_paths_as_typed(tmp_path, capsys):
+    """simulate's summary and analyze's empty-directory error print a path as
+    the command line spelled it, trailing slash and all, as the manifest
+    records it."""
+    out = f"{tmp_path / 'sessions'}/"
+    assert run("simulate", "--out", out, "--users-sphere", "2", "--users-cylinder", "2", "--diameters", "6,8") == 0
+    assert capsys.readouterr().out == f"wrote 8 session files to {out}\n"
+    assert json.loads((tmp_path / "sessions" / "manifest.json").read_text())["arguments"]["out"] == out
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run("analyze", f"{empty}/", "--out", tmp_path / "a") == 2
+    assert capsys.readouterr().err == f"ArgumentError: no .session files in {empty}/\n"

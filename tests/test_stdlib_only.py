@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from flexglove.classify import build_centroids, centroids_to_csv
+from flexglove.session_io import write_session_file
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SOURCES = sorted((SRC / "flexglove").glob("*.py"))
@@ -148,19 +151,27 @@ def test_guard_flags_an_uncalled_definition():
     assert uncalled({"m": module}, {"m": module, "c": caller}) == ["SPARE", "walk", "spare"]
 
 
+def namedtuple_fields(node: ast.AST) -> list[str] | None:
+    """The field names of a collections.namedtuple call, None for any other node."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple":
+        return node.args[1].value.replace(",", " ").split()
+    return None
+
+
 def record_fields(tree: ast.AST) -> list[str]:
-    """"Record.field" for each field of each named tuple ``tree`` defines, as
-    a typing.NamedTuple class or a subclass of a collections.namedtuple call."""
+    """"Record.field" for each field of each named tuple ``tree`` defines: a
+    typing.NamedTuple class, a subclass of a collections.namedtuple call, or
+    a name assigned such a call."""
     found = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and (names := namedtuple_fields(node.value)) is not None:
+            found.extend(f"{t.id}.{name}" for t in node.targets if isinstance(t, ast.Name) for name in names)
         if not isinstance(node, ast.ClassDef):
             continue
         for base in node.bases:
             if isinstance(base, ast.Name) and base.id == "NamedTuple":
                 names = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
-            elif isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
-                names = base.args[1].value.replace(",", " ").split()
-            else:
+            elif (names := namedtuple_fields(base)) is None:
                 continue
             found.extend(f"{node.name}.{name}" for name in names)
     return found
@@ -187,10 +198,44 @@ def test_guard_flags_an_unread_field():
         "from collections import namedtuple\nfrom typing import NamedTuple\n\n"
         "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
         "class Span(namedtuple('Span', 'lo hi')):\n    pass\n\n"
+        "Cell = namedtuple('Cell', 'row, col')\n\n"
         "class Plain:\n    size: int\n"
     )
-    caller = ast.parse("pair = Pair(left=1, right=2)\nprint(pair.left, Span(0, 1).hi)\npair.right = 3\n")
-    assert unread_fields([module], [module, caller]) == ["Pair.right", "Span.lo"]
+    caller = ast.parse(
+        "pair = Pair(left=1, right=2)\nprint(pair.left, Span(0, 1).hi, Cell(0, 1).row)\npair.right = 3\n"
+    )
+    assert unread_fields([module], [module, caller]) == ["Pair.right", "Span.lo", "Cell.col"]
+
+
+def typing_records_and_paths(tree: ast.AST) -> list[str]:
+    """Each import of typing or pathlib in ``tree``, by module, and each class
+    derived from NamedTuple, by class: a record is a collections.namedtuple,
+    and a path is a str joined by os.path."""
+    found = [name for name in imported_modules(tree) if name in ("typing", "pathlib")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            "NamedTuple" in (getattr(base, "id", None), getattr(base, "attr", None)) for base in node.bases
+        ):
+            found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_typing_pathlib_or_namedtuple_class(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert typing_records_and_paths(tree) == []
+
+
+def test_guard_flags_typing_pathlib_and_a_namedtuple_class():
+    tree = ast.parse(
+        "import typing\nfrom collections import namedtuple\nfrom pathlib import Path\n"
+        "from .errors import ArgumentError\n\n"
+        "class Pair(typing.NamedTuple):\n    left: int\n\n"
+        "class Span(namedtuple('Span', 'lo hi')):\n    pass\n\n"
+        "def load():\n    from typing import NamedTuple\n\n"
+        "    class Cell(NamedTuple):\n        row: int\n"
+    )
+    assert typing_records_and_paths(tree) == ["typing", "pathlib", "typing", "Pair", "Cell"]
 
 
 def random_constructions(tree: ast.AST) -> list[str]:
@@ -236,18 +281,36 @@ def test_guard_flags_a_third_party_import():
     assert [n for n in imported_modules(tree) if n not in sys.stdlib_module_names] == ["numpy", "yaml"]
 
 
+# dataclasses (through inspect) and statistics (through fractions and decimal)
+# cost ~20 ms of every command's start-up.
+SLOW_MODULES = {"dataclasses", "inspect", "statistics"}
+# No command needs typing or pathlib, and only the manifest needs json.  A
+# site-packages .pth file may import any of them before the package runs, so
+# only a probe without site (-S) sees whether the package does.
+UNNEEDED_MODULES = {"typing", "pathlib", "json"}
+
+
+def modules_after(flags: list[str], code: str, names: set[str]) -> str:
+    """What a child interpreter run with ``flags`` prints after running
+    ``code`` with src/ on its path: the names of ``names`` it has loaded.
+    -I keeps the environment's PYTHONPATH out and -B keeps __pycache__ out of
+    src/."""
+    probe = f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}; print(sorted({names!r} & sys.modules.keys()))"
+    return subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_loads_no_slow_stdlib_module():
-    """dataclasses (through inspect) and statistics (through fractions and
-    decimal) cost ~20 ms of every command's start-up.  -I keeps the
-    environment's PYTHONPATH out and -B keeps __pycache__ out of src/."""
-    probe = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import flexglove.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'statistics'} & sys.modules.keys()))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-I", "-B", "-c", probe], capture_output=True, text=True, check=True
-    )
-    assert result.stdout == "[]\n"
+    assert modules_after(["-I", "-B"], "import flexglove.cli", SLOW_MODULES) == "[]\n"
+    assert modules_after(["-I", "-S", "-B"], "import flexglove.cli", SLOW_MODULES | UNNEEDED_MODULES) == "[]\n"
+
+
+def test_classify_loads_no_unneeded_stdlib_module(tmp_path, default_cohort, default_table):
+    session, centroids = tmp_path / "query.session", tmp_path / "centroids.csv"
+    write_session_file(default_cohort[0], session)
+    centroids.write_text(centroids_to_csv(build_centroids(default_table), default_table.raw_scale))
+    code = f"from flexglove.cli import main; assert main(['classify', {str(session)!r}, {str(centroids)!r}]) == 0"
+    out = modules_after(["-I", "-S", "-B"], code, SLOW_MODULES | UNNEEDED_MODULES)
+    assert out.splitlines()[-1] == "[]"
 
 
 def attribute_reads(tree: ast.AST, name: str) -> list[int]:
